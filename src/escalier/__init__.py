@@ -17,14 +17,7 @@ from .crypto import (
 from .errors import ParseError
 from .field import DEFAULT_PRIME
 from .forge import BoundDemo, ForgedPair, build_counterexample, demonstrate_bound_necessity
-from .nc_polynomials import (
-    NcPolynomial,
-    nc_normal_form,
-    overlap_check,
-    parse_free_file,
-    parse_nc_polynomial,
-    render_free_file,
-)
+from .nc_polynomials import NcPolynomial, overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle, serve, serve_line
 from .peeling import candidate_terms, covering_basis, peel
 from .polynomials import (
@@ -41,18 +34,13 @@ from .polynomials import (
     s_polynomial,
 )
 from .staircase import (
-    CaseTag,
-    ProbeOutcome,
     StaircaseResult,
     brute_force_generators,
-    classify,
-    diagonal_probe,
     parse_result,
     reconstruct,
-    reconstruct_2var,
     render_result,
 )
-from .terms import Box, TermOrder, box_enumerate, divides, lcm, predecessor
-from .words import WordOrder, concat, split_left, split_right, subword_occurrences
+from .terms import Box, TermMonoid, TermOrder, box_enumerate, divides, lcm
+from .words import WordMonoid, WordOrder, subword_occurrences
 
 __version__ = "0.1.0"

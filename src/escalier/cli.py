@@ -1,9 +1,9 @@
 """Command-line front end: build oracles from ideal files, run the
 reconstructions and attacks, and emit the documented text formats.
 
-Exit codes: 0 success, 1 math-layer error, 2 usage or parse error. All
-randomness flows from --seed, so identical invocations produce identical
-bytes.
+Exit codes: 0 success, 1 math-layer error, 2 usage or parse error; each
+error is one ``error:`` line on stderr. All randomness flows from --seed,
+so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -295,6 +295,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    if getattr(args, "bound", None) is not None and args.bound < 0:
+        print(f"error: --bound must be nonnegative, got {args.bound}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except ParseError as e:
@@ -303,7 +306,7 @@ def run(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

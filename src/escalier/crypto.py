@@ -16,12 +16,21 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Union
 
-from .nc_polynomials import NcPolynomial, nc_normal_form
+from .errors import ParseError
+from .nc_polynomials import NcPolynomial
 from .oracle import CanOracle
 from .peeling import covering_basis
-from .polynomials import GroebnerBasis, Polynomial, buchberger, normal_form
+from .polynomials import (
+    GroebnerBasis,
+    Polynomial,
+    buchberger,
+    content_lines,
+    header,
+    normal_form,
+    parse_polynomial,
+)
 from .staircase import StaircaseResult, reconstruct
-from .terms import Term, TermOrder, divides, term_to_text
+from .terms import Term, TermOrder, divides, parse_term, term_to_text
 from .words import WordOrder
 
 
@@ -63,9 +72,9 @@ class KeyPair:
     basis: GroebnerBasis
     public: PublicKey
 
-    def oracle(self, memo: bool = False) -> CanOracle:
+    def oracle(self) -> CanOracle:
         """A fresh decryption oracle for the private ideal."""
-        return CanOracle.commutative(self.basis, memo=memo)
+        return CanOracle.commutative(self.basis)
 
 
 @dataclass(frozen=True)
@@ -287,7 +296,7 @@ def nc_attack_probe(
             left = _random_nc_polynomial(n, p, 1, rng)
             right = _random_nc_polynomial(n, p, 1, rng)
             c = c + left * g * right
-        if nc_normal_form(c, basis, order) == msg:
+        if normal_form(c, basis, order) == msg:
             successes += 1
         else:
             failures += 1
@@ -313,30 +322,13 @@ def render_public_key(pk: PublicKey) -> str:
 
 
 def parse_public_key(text: str) -> PublicKey:
-    import re
-
-    from .errors import ParseError
-    from .polynomials import parse_polynomial
-    from .terms import parse_term
-
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty public key file")
-    m = re.match(
-        r"^publickey\s+n=(\d+)\s+p=(\d+)\s+order=(\w+)\s+dbound=(\d+)\s+delta=(\d+)\s*$",
-        lines[0],
+    head, *body = content_lines(text) or [""]
+    n, p, order, dbound, delta = header(
+        head, "publickey", ("n", "p", "order", "dbound", "delta")
     )
-    if not m:
-        raise ParseError(f"bad public key header: {lines[0]!r}")
-    n, p = int(m.group(1)), int(m.group(2))
-    try:
-        order = TermOrder(m.group(3))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
     gens = []
     terms = []
-    for ln in lines[1:]:
+    for ln in body:
         if ln.startswith("g "):
             gens.append(parse_polynomial(ln[2:], n, p))
         elif ln.startswith("t "):
@@ -349,8 +341,8 @@ def parse_public_key(text: str) -> PublicKey:
         order=order,
         generators=tuple(gens),
         normal_terms=tuple(terms),
-        noise_degree=int(m.group(4)),
-        degree_cap=int(m.group(5)),
+        noise_degree=dbound,
+        degree_cap=delta,
     )
 
 
@@ -359,17 +351,8 @@ def render_ciphertext(c: Ciphertext, n: int, p: int) -> str:
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
-    import re
-
-    from .errors import ParseError
-    from .polynomials import parse_polynomial
-
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if len(lines) != 2:
         raise ParseError("ciphertext file needs a header and one polynomial")
-    m = re.match(r"^cipher\s+n=(\d+)\s+p=(\d+)\s+delta=(\d+)\s*$", lines[0])
-    if not m:
-        raise ParseError(f"bad ciphertext header: {lines[0]!r}")
-    n, p, cap = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    n, p, cap = header(lines[0], "cipher", ("n", "p", "delta"))
     return Ciphertext(poly=parse_polynomial(lines[1], n, p), degree_cap=cap)

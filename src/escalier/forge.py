@@ -55,11 +55,11 @@ class ForgedPair:
     n: int
     p: int
 
-    def shifted_oracle(self, memo: bool = False) -> CanOracle:
-        return CanOracle.commutative(self.shifted_basis, memo=memo)
+    def shifted_oracle(self) -> CanOracle:
+        return CanOracle.commutative(self.shifted_basis)
 
-    def extended_oracle(self, memo: bool = False) -> CanOracle:
-        return CanOracle.commutative(self.extended_basis, memo=memo)
+    def extended_oracle(self) -> CanOracle:
+        return CanOracle.commutative(self.extended_basis)
 
 
 def build_counterexample(

@@ -1,105 +1,32 @@
-"""Sparse polynomials over the free algebra, two-sided reduction, and the
-overlap-ambiguity confluence check for finite bases.
+"""Free-algebra polynomials and the overlap-ambiguity confluence check for
+finite bases.
 
-File grammar mirrors the commutative one with words instead of terms and
-header ``free n=<n> p=<p>``.
+NcPolynomial is Polynomial over the word monoid, so arithmetic, the text
+grammar (words instead of terms) and two-sided reduction by normal_form
+are shared with the commutative ring. Files carry the header
+``free n=<n> p=<p>``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Optional
 
-from .errors import ParseError
-from .field import inv_mod, validate_prime
-from .words import Word, WordOrder, parse_word, subword_occurrences, word_to_text
+from .polynomials import Polynomial, content_lines, header, normal_form, parse_polynomial
+from .words import Word, WordMonoid, WordOrder, subword_occurrences
 
 
-class NcPolynomial:
+class NcPolynomial(Polynomial):
     """Immutable sparse free-algebra polynomial: word -> nonzero residue."""
 
-    __slots__ = ("n", "p", "_coeffs")
-
-    def __init__(self, n: int, p: int, coeffs: Optional[dict] = None):
-        self.n = n
-        self.p = p
-        clean: dict[Word, int] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                w = tuple(w)
-                if any(not 1 <= x <= n for x in w):
-                    raise ValueError(f"word {w} uses letters outside X1..X{n}")
-                c %= p
-                if c:
-                    clean[w] = c
-        self._coeffs = clean
-
-    @classmethod
-    def zero(cls, n: int, p: int) -> "NcPolynomial":
-        return cls(n, p)
+    __slots__ = ()
+    monoid = WordMonoid
 
     @classmethod
     def term(cls, w: Word, n: int, p: int, coeff: int = 1) -> "NcPolynomial":
         return cls(n, p, {tuple(w): coeff})
 
-    @classmethod
-    def constant(cls, n: int, p: int, c: int) -> "NcPolynomial":
-        return cls(n, p, {(): c})
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def support(self) -> set[Word]:
-        return set(self._coeffs)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def coefficient(self, w: Word) -> int:
-        return self._coeffs.get(tuple(w), 0)
-
-    def _compatible(self, other: "NcPolynomial") -> None:
-        if self.n != other.n or self.p != other.p:
-            raise ValueError("polynomials live in different free algebras")
-
-    def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        self._compatible(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return NcPolynomial(self.n, self.p, out)
-
-    def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        self._compatible(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0) - c
-        return NcPolynomial(self.n, self.p, out)
-
-    def __neg__(self) -> "NcPolynomial":
-        return NcPolynomial(self.n, self.p, {w: -c for w, c in self._coeffs.items()})
-
-    def scale(self, c: int) -> "NcPolynomial":
-        return NcPolynomial(self.n, self.p, {w: v * c for w, v in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._compatible(other)
-        out: dict[Word, int] = {}
-        for u, cu in self._coeffs.items():
-            for v, cv in other._coeffs.items():
-                w = u + v
-                out[w] = out.get(w, 0) + cu * cv
-        return NcPolynomial(self.n, self.p, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+    def leading_word(self, order: WordOrder) -> Word:
+        return self.leading_term(order)
 
     def sandwich(self, left: Word, right: Word) -> "NcPolynomial":
         """left * self * right for plain words."""
@@ -107,122 +34,6 @@ class NcPolynomial:
         return NcPolynomial(
             self.n, self.p, {left + w + right: c for w, c in self._coeffs.items()}
         )
-
-    def leading_word(self, order: WordOrder) -> Word:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self._coeffs, key=order.key)
-
-    def leading_coefficient(self, order: WordOrder) -> int:
-        return self._coeffs[self.leading_word(order)]
-
-    def monic(self, order: WordOrder) -> "NcPolynomial":
-        if not self._coeffs:
-            raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(inv_mod(self.leading_coefficient(order), self.p))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, frozenset(self._coeffs.items())))
-
-    def __repr__(self) -> str:
-        return f"NcPolynomial({self.to_text()!r}, n={self.n}, p={self.p})"
-
-    def to_text(self, order: Optional[WordOrder] = None) -> str:
-        if not self._coeffs:
-            return "0"
-        order = order or WordOrder()
-        pieces = []
-        for w in sorted(self._coeffs, key=order.key, reverse=True):
-            c = self._coeffs[w]
-            if not w:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(word_to_text(w))
-            else:
-                pieces.append(f"{c}*{word_to_text(w)}")
-        return " + ".join(pieces)
-
-
-def parse_nc_polynomial(text: str, n: int, p: int) -> NcPolynomial:
-    body = text.strip()
-    if not body:
-        raise ParseError("empty polynomial")
-    coeffs: dict[Word, int] = {}
-    for chunk in body.replace("-", "+-").split("+"):
-        mono = chunk.strip()
-        if not mono:
-            continue
-        sign = 1
-        if mono.startswith("-"):
-            sign = -1
-            mono = mono[1:].strip()
-            if not mono:
-                raise ParseError("dangling sign")
-        coeff = sign
-        letters: list[int] = []
-        for raw in mono.split("*"):
-            factor = raw.strip()
-            if re.fullmatch(r"\d+", factor):
-                coeff *= int(factor)
-            else:
-                letters.extend(parse_word(factor, n))
-        w = tuple(letters)
-        coeffs[w] = coeffs.get(w, 0) + coeff
-    return NcPolynomial(n, p, coeffs)
-
-
-def nc_normal_form(
-    f: NcPolynomial, basis: Iterable[NcPolynomial], order: WordOrder
-) -> NcPolynomial:
-    """Fully reduced two-sided remainder: no word of the result contains
-    any basis leading word as a factor.
-
-    Deterministic: smallest leading word wins, ties by list position, and
-    its leftmost occurrence is rewritten.
-    """
-    reducers = []
-    for idx, g in enumerate(basis):
-        if g.is_zero():
-            continue
-        w = g.leading_word(order)
-        reducers.append((order.key(w), idx, w, g._coeffs[w], g))
-    reducers.sort(key=lambda r: (r[0], r[1]))
-
-    p = f.p
-    work = dict(f._coeffs)
-    out: dict[Word, int] = {}
-    while work:
-        w = max(work, key=order.key)
-        c = work.pop(w)
-        hit = None
-        for _, _, lw, lc, g in reducers:
-            k = len(lw)
-            for start in range(len(w) - k + 1):
-                if w[start : start + k] == lw:
-                    hit = (w[:start], w[start + k :], lw, lc, g)
-                    break
-            if hit:
-                break
-        if hit is None:
-            out[w] = (out.get(w, 0) + c) % p
-            continue
-        left, right, lw, lc, g = hit
-        factor = (c * inv_mod(lc, p)) % p
-        for s, cs in g._coeffs.items():
-            if s == lw:
-                continue
-            u = left + s + right
-            v = (work.get(u, 0) - factor * cs) % p
-            if v:
-                work[u] = v
-            elif u in work:
-                del work[u]
-    return NcPolynomial(f.n, p, out)
 
 
 def overlap_check(
@@ -232,7 +43,7 @@ def overlap_check(
 
     Every overlap and inclusion ambiguity between leading words of length
     at most length_bound (default: all of them) must reduce to zero under
-    nc_normal_form; then reduction modulo the basis computes canonical
+    normal_form; then reduction modulo the basis computes canonical
     forms.
     """
     elems = [g for g in basis if not g.is_zero()]
@@ -256,18 +67,15 @@ def overlap_check(
                 left = wi[: len(wi) - k]
                 right = wj[k:]
                 s = gi.sandwich((), right) - gj.sandwich(left, ())
-                if not nc_normal_form(s, elems, order).is_zero():
+                if not normal_form(s, elems, order).is_zero():
                     return False
             # inclusions: wi occurs inside wj
             if i != j:
                 for left, right in subword_occurrences(wi, wj):
                     s = gj - gi.sandwich(left, right)
-                    if not nc_normal_form(s, elems, order).is_zero():
+                    if not normal_form(s, elems, order).is_zero():
                         return False
     return True
-
-
-_FREE_HEADER = re.compile(r"^free\s+n=(\d+)\s+p=(\d+)\s*$")
 
 
 def render_free_file(polys: Iterable[NcPolynomial], n: int, p: int) -> str:
@@ -278,17 +86,6 @@ def render_free_file(polys: Iterable[NcPolynomial], n: int, p: int) -> str:
 
 def parse_free_file(text: str):
     """-> (n, p, polynomials)."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty file")
-    m = _FREE_HEADER.match(lines[0])
-    if not m:
-        raise ParseError(f"bad free-algebra header: {lines[0]!r}")
-    n, p = int(m.group(1)), int(m.group(2))
-    try:
-        validate_prime(p)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    polys = [parse_nc_polynomial(ln, n, p) for ln in lines[1:]]
-    return n, p, polys
+    head, *body = content_lines(text) or [""]
+    n, p = header(head, "free", ("n", "p"))
+    return n, p, [parse_polynomial(ln, n, p, NcPolynomial) for ln in body]

@@ -14,10 +14,10 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ParseError
 from .field import validate_prime
-from .nc_polynomials import NcPolynomial, nc_normal_form, overlap_check
+from .nc_polynomials import NcPolynomial, overlap_check
 from .polynomials import GroebnerBasis, Polynomial, buchberger, normal_form
-from .terms import TermOrder, divides, parse_term
-from .words import WordOrder, is_factor, parse_word
+from .terms import TermOrder
+from .words import WordOrder
 
 
 class CanOracle:
@@ -26,7 +26,8 @@ class CanOracle:
     Answers depend only on the ideal and the order, never on the
     presentation: commutative generator lists are completed to the
     reduced basis on construction, and free-algebra bases must pass the
-    overlap confluence check.
+    overlap confluence check. Both algebras share one query path; the
+    polynomial class of the basis fixes the monoid.
     """
 
     def __init__(self):
@@ -35,18 +36,18 @@ class CanOracle:
     # --- construction -------------------------------------------------
 
     @classmethod
-    def _build(cls, kind, elements, order, leads, n, p, memo):
+    def _build(cls, algebra, elements, order, n, p, memo):
         self = object.__new__(cls)
-        self.__kind = kind
+        self.__algebra = algebra
+        self.__monoid = algebra.monoid
         self.__elements = tuple(elements)
         self.__order = order
-        self.__leads = tuple(leads)
+        self.__leads = tuple(g.leading_term(order) for g in self.__elements)
         self.__n = n
         self.__p = p
         self.__memo_on = memo
         self.__memo = {}
         self.__count = 0
-        self.__log = []
         return self
 
     @classmethod
@@ -79,8 +80,7 @@ class CanOracle:
         if n is None or p is None:
             raise ValueError("zero ideal oracle needs explicit n and p")
         validate_prime(p)
-        leads = [g.leading_term(order) for g in elems]
-        return cls._build("comm", elems, order, leads, n, p, memo)
+        return cls._build(Polynomial, elems, order, n, p, memo)
 
     @classmethod
     def noncommutative(
@@ -91,29 +91,24 @@ class CanOracle:
         ambiguity_bound: Optional[int] = None,
         memo: bool = False,
     ) -> "CanOracle":
-        """Oracle backed by a finite free-algebra basis; the basis must
-        pass overlap_check so canonical forms are well defined."""
+        """Oracle backed by a finite free-algebra basis of a proper ideal;
+        the basis must pass overlap_check so canonical forms are well
+        defined."""
         order = order or WordOrder()
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
             raise ValueError("free-algebra oracle needs a nonempty basis")
         elems = [g.monic(order) for g in elems]
+        if any(not g.leading_word(order) for g in elems):
+            raise ValueError("basis generates the whole free algebra (a lead is 1)")
         if not overlap_check(elems, order, ambiguity_bound):
             raise ValueError("basis fails the overlap confluence check")
-        n, p = elems[0].n, elems[0].p
-        leads = [g.leading_word(order) for g in elems]
-        return cls._build("nc", elems, order, leads, n, p, memo)
+        return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p, memo)
 
     def fresh_copy(self) -> "CanOracle":
         """Same sealed ideal and order, ledger reset to zero."""
         return CanOracle._build(
-            self.__kind,
-            self.__elements,
-            self.__order,
-            self.__leads,
-            self.__n,
-            self.__p,
-            self.__memo_on,
+            self.__algebra, self.__elements, self.__order, self.__n, self.__p, self.__memo_on
         )
 
     # --- public ring data ----------------------------------------------
@@ -127,88 +122,55 @@ class CanOracle:
         return self.__p
 
     @property
-    def is_commutative(self) -> bool:
-        return self.__kind == "comm"
+    def monoid(self):
+        """The monoid of the oracle's monomials: terms or words."""
+        return self.__monoid
 
     @property
     def queries(self) -> int:
         return self.__count
 
-    @property
-    def query_log(self) -> tuple:
-        return tuple(self.__log)
-
     # --- queries --------------------------------------------------------
 
-    def _check_term(self, t) -> tuple:
-        t = tuple(t)
-        if self.__kind == "comm":
-            if len(t) != self.__n or any(e < 0 for e in t):
-                raise ValueError(f"term {t} is not in the oracle's ring")
-        else:
-            if any(not 1 <= x <= self.__n for x in t):
-                raise ValueError(f"word {t} is not in the oracle's algebra")
-        return t
-
     def _term_poly(self, t):
-        if self.__kind == "comm":
-            return Polynomial.term(t, self.__p)
-        return NcPolynomial.term(t, self.__n, self.__p)
+        return self.__algebra(self.__n, self.__p, {t: 1})
 
     def _tick(self, t) -> bool:
         """Ledger bump; False when a memoized answer should be served free."""
         if self.__memo_on and t in self.__memo:
             return False
         self.__count += 1
-        self.__log.append(t)
         return True
 
     def can_term(self, t):
         """Canonical form of a single term; one ledger query."""
-        t = self._check_term(t)
+        t = self.__monoid.validate(t, self.__n)
         if not self._tick(t):
             return self.__memo[t]
-        if self.__kind == "comm":
-            res = normal_form(self._term_poly(t), self.__elements, self.__order)
-        else:
-            res = nc_normal_form(self._term_poly(t), self.__elements, self.__order)
+        res = normal_form(self._term_poly(t), self.__elements, self.__order)
         if self.__memo_on:
             self.__memo[t] = res
         return res
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
-        t = self._check_term(t)
+        t = self.__monoid.validate(t, self.__n)
         if not self._tick(t):
             return self.__memo[t] != self._term_poly(t)
-        if self.__kind == "comm":
-            hit = any(divides(lt, t) for lt in self.__leads)
-        else:
-            hit = any(is_factor(lw, t) for lw in self.__leads)
+        cofactor = self.__monoid.cofactor
+        hit = any(cofactor(lt, t) is not None for lt in self.__leads)
         if self.__memo_on:
             # keep the memo uniform: store the canonical form
-            if self.__kind == "comm":
-                self.__memo[t] = normal_form(
-                    self._term_poly(t), self.__elements, self.__order
-                )
-            else:
-                self.__memo[t] = nc_normal_form(
-                    self._term_poly(t), self.__elements, self.__order
-                )
+            self.__memo[t] = normal_form(self._term_poly(t), self.__elements, self.__order)
         return hit
 
     def can_poly(self, f):
         """Canonical form of f by linearity; |supp(f)| ledger queries."""
-        if self.__kind == "comm":
-            if not isinstance(f, Polynomial):
-                raise ValueError("expected a commutative polynomial")
-            acc = Polynomial.zero(self.__n, self.__p)
-        else:
-            if not isinstance(f, NcPolynomial):
-                raise ValueError("expected a free-algebra polynomial")
-            acc = NcPolynomial.zero(self.__n, self.__p)
+        if type(f) is not self.__algebra:
+            raise ValueError(f"expected a {self.__algebra.__name__}")
         if f.n != self.__n or f.p != self.__p:
             raise ValueError("polynomial is not in the oracle's ring")
+        acc = self.__algebra(self.__n, self.__p)
         for t, c in sorted(f.items()):
             acc = acc + self.can_term(t).scale(c)
         return acc
@@ -220,8 +182,7 @@ class CanOracle:
         products satisfy sum(l * t * r) = t; the identity is checked, the
         masked answers are summed, and the result equals can_term(t).
         """
-        t = self._check_term(t)
-        term = self._term_poly(t)
+        term = self._term_poly(self.__monoid.validate(t, self.__n))
         pieces = []
         total = None
         for left, right in decomposition:
@@ -250,11 +211,7 @@ def serve_line(oracle: CanOracle, line: str) -> str:
         return str(oracle.queries)
     if cmd == "CAN" and len(parts) == 2:
         try:
-            if oracle.is_commutative:
-                t = parse_term(parts[1], oracle.n)
-            else:
-                t = parse_word(parts[1], oracle.n)
-            return oracle.can_term(t).to_text()
+            return oracle.can_term(oracle.monoid.parse(parts[1], oracle.n)).to_text()
         except (ParseError, ValueError) as e:
             return f"ERR {e}"
     return f"ERR unknown request {line.strip()!r}"

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .nc_polynomials import NcPolynomial, nc_normal_form
+from .nc_polynomials import NcPolynomial
+from .polynomials import normal_form
 from .words import Word, WordOrder, is_factor, word_to_text
 
 
@@ -36,9 +37,11 @@ def peel(oracle, start: Word) -> Word:
     Phase one drops leftmost letters while the remainder stays inside;
     phase two drops rightmost letters of the middle while the kept first
     letter plus the shortened middle stays inside. Assumes a proper ideal
-    (the empty word is outside).
+    (the empty word is outside), so the empty start is refused.
     """
     t = tuple(start)
+    if not t:
+        raise ValueError("cannot peel the empty word: it lies in no proper ideal")
     if not oracle.member_T(t):
         raise ValueError("peeling must start inside the leading-word ideal")
     while len(t) > 1:
@@ -81,7 +84,7 @@ def covering_basis(
     leads: set[Word] = set()
     rounds = 0
     while True:
-        residual = [nc_normal_form(g, basis, order) for g in public_gens]
+        residual = [normal_form(g, basis, order) for g in public_gens]
         support_total = sum(len(r.support()) for r in residual)
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
@@ -101,7 +104,8 @@ def covering_basis(
         if start is None:
             raise RuntimeError("no support word lies in the leading-word ideal")
         w = peel(oracle, start)
-        assert w not in leads, "peeled a generator that was already reduced away"
+        if w in leads:
+            raise RuntimeError("peeled a generator that was already reduced away")
         leads.add(w)
         basis.append(
             NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w)

@@ -1,47 +1,47 @@
-"""Sparse commutative polynomials over a prime field, with Buchberger's
-algorithm, full normal forms and reduced Groebner bases.
+"""Sparse polynomials over a prime field and the one reduction loop, with
+Buchberger's algorithm and reduced Groebner bases for the commutative
+ring, and the header parser shared by every file format.
 
-Text grammar for a polynomial: signed sum of monomials, each monomial a
-'*'-joined list of an optional integer coefficient and term factors, e.g.
-``3*X1^2*X2 + 31999*X2^2 + 1``. Ideal files carry a header line
-``ring n=<n> p=<p> order=<kind>`` followed by one polynomial per line;
+A polynomial's class fixes its monoid of monomials: Polynomial uses
+commutative terms (terms.TermMonoid), NcPolynomial in nc_polynomials uses
+words (words.WordMonoid); arithmetic, text and normal_form only go through
+the monoid. Text grammar for a polynomial: signed sum of monomials, each
+monomial a '*'-joined list of an optional integer coefficient and monomial
+factors, e.g. ``3*X1^2*X2 + 31999*X2^2 + 1``. Ideal files carry a header
+line ``ring n=<n> p=<p> order=<kind>`` followed by one polynomial per line;
 ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ParseError
 from .field import inv_mod, validate_prime
-from .terms import (
-    Term,
-    TermOrder,
-    divides,
-    lcm,
-    parse_term,
-    term_div,
-    term_mul,
-    term_to_text,
-)
+from .terms import Term, TermMonoid, TermOrder, divides, lcm, term_div, term_mul
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero residue mod p."""
+    """Immutable sparse polynomial: monomial -> nonzero residue mod p.
+
+    The class attribute monoid says what a monomial is; here an exponent
+    tuple in n variables.
+    """
 
     __slots__ = ("n", "p", "_coeffs")
+    monoid = TermMonoid
 
     def __init__(self, n: int, p: int, coeffs: Optional[dict] = None):
         self.n = n
         self.p = p
-        clean: dict[Term, int] = {}
+        clean: dict = {}
         if coeffs:
+            validate = self.monoid.validate
             for t, c in coeffs.items():
-                t = tuple(t)
-                if len(t) != n or any(e < 0 for e in t):
-                    raise ValueError(f"term {t} does not live in {n} variables")
+                t = validate(t, n)
                 c %= p
                 if c:
                     clean[t] = c
@@ -57,7 +57,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, p: int, c: int) -> "Polynomial":
-        return cls(n, p, {(0,) * n: c})
+        return cls(n, p, {cls.monoid.one(n): c})
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -65,24 +65,21 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def support(self) -> set[Term]:
+    def support(self) -> set:
         return set(self._coeffs)
 
     def items(self):
         return self._coeffs.items()
 
-    def coefficient(self, t: Term) -> int:
+    def coefficient(self, t) -> int:
         return self._coeffs.get(tuple(t), 0)
 
-    def term_count(self) -> int:
-        return len(self._coeffs)
-
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(t) for t in self._coeffs), default=-1)
+        """Total degree (word length); -1 for the zero polynomial."""
+        return max(map(self.monoid.degree, self._coeffs), default=-1)
 
     def _compatible(self, other: "Polynomial") -> None:
-        if self.n != other.n or self.p != other.p:
+        if type(self) is not type(other) or self.n != other.n or self.p != other.p:
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -90,62 +87,63 @@ class Polynomial:
         out = dict(self._coeffs)
         for t, c in other._coeffs.items():
             out[t] = out.get(t, 0) + c
-        return Polynomial(self.n, self.p, out)
+        return type(self)(self.n, self.p, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._compatible(other)
         out = dict(self._coeffs)
         for t, c in other._coeffs.items():
             out[t] = out.get(t, 0) - c
-        return Polynomial(self.n, self.p, out)
+        return type(self)(self.n, self.p, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, self.p, {t: -c for t, c in self._coeffs.items()})
+        return type(self)(self.n, self.p, {t: -c for t, c in self._coeffs.items()})
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
+        return type(self)(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
 
-    def multiply_term(self, coeff: int, t: Term) -> "Polynomial":
-        t = tuple(t)
-        return Polynomial(
-            self.n, self.p, {term_mul(s, t): v * coeff for s, v in self._coeffs.items()}
+    def multiply_term(self, coeff: int, t) -> "Polynomial":
+        t, mul = tuple(t), self.monoid.mul
+        return type(self)(
+            self.n, self.p, {mul(s, t): v * coeff for s, v in self._coeffs.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._compatible(other)
-        out: dict[Term, int] = {}
+        mul = self.monoid.mul
+        out: dict = {}
         for s, cs in self._coeffs.items():
             for t, ct in other._coeffs.items():
-                u = term_mul(s, t)
+                u = mul(s, t)
                 out[u] = out.get(u, 0) + cs * ct
-        return Polynomial(self.n, self.p, out)
+        return type(self)(self.n, self.p, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
-    def leading_term(self, order: TermOrder) -> Term:
+    def leading_term(self, order):
         if not self._coeffs:
             raise ValueError("zero polynomial has no leading term")
         return max(self._coeffs, key=order.key)
 
-    def leading_coefficient(self, order: TermOrder) -> int:
+    def leading_coefficient(self, order) -> int:
         return self._coeffs[self.leading_term(order)]
 
-    def leading_data(self, order: TermOrder) -> tuple[Term, int]:
+    def leading_data(self, order) -> tuple:
         t = self.leading_term(order)
         return t, self._coeffs[t]
 
-    def monic(self, order: TermOrder) -> "Polynomial":
+    def monic(self, order) -> "Polynomial":
         if not self._coeffs:
             raise ValueError("cannot normalize the zero polynomial")
         return self.scale(inv_mod(self.leading_coefficient(order), self.p))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.p == other.p and self._coeffs == other._coeffs
 
@@ -153,29 +151,32 @@ class Polynomial:
         return hash((self.n, self.p, frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.to_text()!r}, n={self.n}, p={self.p})"
+        return f"{type(self).__name__}({self.to_text()!r}, n={self.n}, p={self.p})"
 
-    def to_text(self, order: Optional[TermOrder] = None) -> str:
+    def to_text(self, order=None) -> str:
         if not self._coeffs:
             return "0"
-        order = order or TermOrder("deglex")
+        order = order or self.monoid.default_order
+        render = self.monoid.render
         pieces = []
         for t in sorted(self._coeffs, key=order.key, reverse=True):
-            c = self._coeffs[t]
-            if sum(t) == 0:
+            c, text = self._coeffs[t], render(t)
+            if text == "1":
                 pieces.append(str(c))
             elif c == 1:
-                pieces.append(term_to_text(t))
+                pieces.append(text)
             else:
-                pieces.append(f"{c}*{term_to_text(t)}")
+                pieces.append(f"{c}*{text}")
         return " + ".join(pieces)
 
 
-def parse_polynomial(text: str, n: int, p: int) -> Polynomial:
+def parse_polynomial(text: str, n: int, p: int, cls: type = Polynomial) -> Polynomial:
+    """Parse the polynomial grammar into cls, Polynomial or NcPolynomial."""
     body = text.strip()
     if not body:
         raise ParseError("empty polynomial")
-    coeffs: dict[Term, int] = {}
+    monoid = cls.monoid
+    coeffs: dict = {}
     for chunk in body.replace("-", "+-").split("+"):
         mono = chunk.strip()
         if not mono:
@@ -187,18 +188,15 @@ def parse_polynomial(text: str, n: int, p: int) -> Polynomial:
             if not mono:
                 raise ParseError("dangling sign")
         coeff = sign
-        exps = [0] * n
+        t = monoid.one(n)
         for raw in mono.split("*"):
             factor = raw.strip()
             if re.fullmatch(r"\d+", factor):
                 coeff *= int(factor)
             else:
-                t = parse_term(factor, n)
-                for i, e in enumerate(t):
-                    exps[i] += e
-        t = tuple(exps)
+                t = monoid.mul(t, monoid.parse(factor, n))
         coeffs[t] = coeffs.get(t, 0) + coeff
-    return Polynomial(n, p, coeffs)
+    return cls(n, p, coeffs)
 
 
 @dataclass(frozen=True)
@@ -235,49 +233,56 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     )
 
 
-def normal_form(f: Polynomial, basis: Iterable[Polynomial], order: TermOrder) -> Polynomial:
-    """Fully reduced remainder of f: no term of the result is divisible by
-    any basis leading term, and the dropped part has a Groebner
-    representation over the basis.
+def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial:
+    """Fully reduced remainder of f: no monomial of the result has any
+    basis leading monomial as a factor (a divisor of a term, a subword of
+    a word), and the dropped part has a representation over the basis.
 
-    Deterministic: the reducer with the smallest leading term wins, ties
-    by list position; the largest remaining term is processed first.
+    Deterministic: the largest remaining monomial is processed first, the
+    reducer with the smallest leading monomial wins with ties by list
+    position, and a word is rewritten at its leftmost occurrence.
     """
+    key = order.key
     reducers = []
     for idx, g in enumerate(basis):
         if g.is_zero():
             continue
         t, c = g.leading_data(order)
-        reducers.append((order.key(t), idx, t, c, g))
+        reducers.append((key(t), idx, t, c, g))
     reducers.sort(key=lambda r: (r[0], r[1]))
 
+    cofactor, apply = f.monoid.cofactor, f.monoid.apply
     p = f.p
     work = dict(f._coeffs)
-    out: dict[Term, int] = {}
-    while work:
-        t = max(work, key=order.key)
-        c = work.pop(t)
-        hit = None
-        for _, _, lt, lc, g in reducers:
-            if divides(lt, t):
-                hit = (lt, lc, g)
-                break
-        if hit is None:
-            out[t] = (out.get(t, 0) + c) % p
+    # pending monomials sorted by cached order key; the largest is last.
+    # An entry whose monomial has since cancelled is skipped when popped.
+    queue = sorted((key(t), t) for t in work)
+    out: dict = {}
+    while queue:
+        t = queue.pop()[1]
+        c = work.pop(t, 0)
+        if not c:
             continue
-        lt, lc, g = hit
-        q = term_div(t, lt)
+        for _, _, lt, lc, g in reducers:
+            q = cofactor(lt, t)
+            if q is not None:
+                break
+        else:
+            out[t] = c
+            continue
         factor = (c * inv_mod(lc, p)) % p
         for s, cs in g._coeffs.items():
             if s == lt:
                 continue
-            u = term_mul(q, s)
+            u = apply(q, s)
             v = (work.get(u, 0) - factor * cs) % p
             if v:
+                if u not in work:
+                    insort(queue, (key(u), u))
                 work[u] = v
             elif u in work:
                 del work[u]
-    return Polynomial(f.n, p, out)
+    return type(f)(f.n, p, out)
 
 
 def _select_pair(pairs, leads, order):
@@ -378,7 +383,32 @@ def lead_degree(basis: GroebnerBasis) -> int:
     return max(sum(t) for t in basis.leading_terms())
 
 
-_RING_HEADER = re.compile(r"^ring\s+n=(\d+)\s+p=(\d+)\s+order=(\w+)\s*$")
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of a file, without # comments and blank lines."""
+    lines = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln]
+
+
+def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
+    """Values of a header line ``<kind> <field>=<value> ...`` carrying
+    exactly the given fields, in that order. Every value is a nonnegative
+    integer except order, which names a term order; p must be prime."""
+    parts = line.split()
+    pairs = [part.partition("=") for part in parts[1:]]
+    if parts[:1] != [kind] or [(k, eq) for k, eq, _ in pairs] != [(f, "=") for f in fields]:
+        raise ParseError(f"bad {kind} header: {line!r}")
+    values = []
+    for name, _, value in pairs:
+        if name != "order" and not value.isdecimal():
+            raise ParseError(f"bad {kind} header: {line!r}")
+        try:
+            if name == "order":
+                values.append(TermOrder(value))
+            else:
+                values.append(validate_prime(int(value)) if name == "p" else int(value))
+        except ValueError as e:
+            raise ParseError(str(e)) from None
+    return tuple(values)
 
 
 def render_ideal_file(
@@ -391,18 +421,6 @@ def render_ideal_file(
 
 def parse_ideal_file(text: str):
     """-> (n, p, order, polynomials). Blank lines and # comments allowed."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty ideal file")
-    m = _RING_HEADER.match(lines[0])
-    if not m:
-        raise ParseError(f"bad ring header: {lines[0]!r}")
-    n, p, kind = int(m.group(1)), int(m.group(2)), m.group(3)
-    try:
-        validate_prime(p)
-        order = TermOrder(kind)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    polys = [parse_polynomial(ln, n, p) for ln in lines[1:]]
-    return n, p, order, polys
+    head, *body = content_lines(text) or [""]
+    n, p, order = header(head, "ring", ("n", "p", "order"))
+    return n, p, order, [parse_polynomial(ln, n, p) for ln in body]

@@ -14,33 +14,12 @@ same monotone scans (membership along a ray only switches once).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ParseError
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, content_lines, header, parse_polynomial
 from .terms import Box, Term, box_enumerate, minimal_terms, parse_term, term_to_text
-
-
-class CaseTag(enum.Enum):
-    """Position of a leading-ideal member relative to its predecessors."""
-
-    CORNER = "corner"      # all predecessors outside: a minimal generator
-    BORDER = "border"      # mixed predecessors
-    INTERIOR = "interior"  # all predecessors inside
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """Result of the diagonal probe: first power of X1*...*Xn inside the
-    leading-term ideal, or None when the whole diagonal stays outside."""
-
-    level: Optional[int]
-
-    @property
-    def zero_ideal(self) -> bool:
-        return self.level is None
 
 
 @dataclass(frozen=True)
@@ -91,40 +70,6 @@ def _drop_min_true(test: Callable[[int], bool], hi: int, binary: bool) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-# --- probe and classification ---------------------------------------------
-
-
-def diagonal_probe(oracle, n: int, bound: int) -> ProbeOutcome:
-    """Scan powers of the full product of variables until one lands in the
-    leading-term ideal; no hit up to the bound means no generator fits the
-    box."""
-    if bound < 1:
-        raise ValueError("probe needs a bound of at least 1")
-    for j in range(1, bound + 1):
-        if oracle.member_T((j,) * n):
-            return ProbeOutcome(j)
-    return ProbeOutcome(None)
-
-
-def classify(oracle, t: Term) -> CaseTag:
-    """Case tag of a leading-ideal member; missing predecessors count as
-    outside (dividing down from them eventually reaches 1)."""
-    if not oracle.member_T(t):
-        raise ValueError("classification needs a term inside the leading-term ideal")
-    inside = []
-    for i, e in enumerate(t):
-        if e > 0:
-            pred = tuple(x - 1 if k == i else x for k, x in enumerate(t))
-            inside.append(oracle.member_T(pred))
-        else:
-            inside.append(False)
-    if not any(inside):
-        return CaseTag.CORNER
-    if all(inside):
-        return CaseTag.INTERIOR
-    return CaseTag.BORDER
 
 
 # --- one variable -----------------------------------------------------------
@@ -300,13 +245,6 @@ def _generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
     return _sliced_generators(oracle, n, bound, binary)
 
 
-def reconstruct_2var(oracle, bound: int, binary: bool = False) -> set[Term]:
-    """Minimal generators of the hidden staircase inside the box, two
-    variables; the zero ideal gives the empty set and a trivial ideal
-    gives {1}."""
-    return _two_var_generators(oracle, bound, binary)
-
-
 def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseResult:
     """Solve the reconstruction problem: generators of the leading-term
     ideal inside the box, the reduced basis elements t - Can(t), and the
@@ -351,24 +289,13 @@ def render_result(res: StaircaseResult) -> str:
 
 
 def parse_result(text: str) -> StaircaseResult:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("generators"):
-        raise ParseError("missing generators header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].split()[1:] if "=" in part
-    )
-    try:
-        k = int(fields["k"])
-        bound = int(fields["D"])
-        n = int(fields["n"])
-        p = int(fields["p"])
-    except (KeyError, ValueError):
-        raise ParseError(f"bad generators header: {lines[0]!r}") from None
-    if len(lines) < 1 + k + 2 or lines[1 + k] != "basis":
+    head, *lines = content_lines(text) or [""]
+    k, bound, n, p = header(head, "generators", ("k", "D", "n", "p"))
+    if len(lines) < k + 2 or lines[k] != "basis":
         raise ParseError("generator count does not match the header")
-    gens = [parse_term(ln, n) for ln in lines[1 : 1 + k]]
-    body = lines[2 + k :]
-    if not body or not body[-1].startswith("queries"):
+    gens = [parse_term(ln, n) for ln in lines[:k]]
+    body = lines[k + 1 :]
+    if not body[-1].startswith("queries"):
         raise ParseError("missing queries line")
     try:
         queries = int(body[-1].split()[1])

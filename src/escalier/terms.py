@@ -1,9 +1,10 @@
-"""Commutative terms, term orders, and box enumeration.
+"""Commutative terms, term orders, box enumeration, and the term monoid.
 
 A term X1^a1 * ... * Xn^an is a plain tuple of n nonnegative ints; entry
 i-1 holds the exponent of Xi. Variable indices are 1-based everywhere,
 matching the X1..Xn naming of the text grammar. All values are immutable
 and all operations are pure, so they are safe to share across threads.
+TermMonoid packages the operations a polynomial ring over terms needs.
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ Term = tuple[int, ...]
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex")
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 def _check_arity(a: Term, b: Term) -> None:
     if len(a) != len(b):
         raise ValueError(f"variable counts differ: {len(a)} vs {len(b)}")
-
-
-def one(n: int) -> Term:
-    return (0,) * n
 
 
 def variable(n: int, i: int) -> Term:
@@ -64,15 +58,6 @@ def term_div(a: Term, b: Term) -> Term:
 def lcm(a: Term, b: Term) -> Term:
     _check_arity(a, b)
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def predecessor(t: Term, i: int) -> Optional[Term]:
-    """The term t / Xi, or None when Xi does not divide t (1-based i)."""
-    if not 1 <= i <= len(t):
-        raise ValueError(f"variable index {i} out of range 1..{len(t)}")
-    if t[i - 1] == 0:
-        return None
-    return tuple(e - 1 if k == i - 1 else e for k, e in enumerate(t))
 
 
 def minimal_terms(terms: Iterable[Term]) -> set[Term]:
@@ -129,16 +114,6 @@ class TermOrder:
         # degrevlex: graded; ties go to the term with the larger exponent
         # at the earliest small variable.
         return (sum(t), tuple(-t[v - 1] for v in prec))
-
-    def compare(self, a: Term, b: Term) -> int:
-        """-1, 0 or 1 as a precedes, equals or follows b."""
-        _check_arity(a, b)
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LESS
-        if ka == kb:
-            return EQUAL
-        return GREATER
 
 
 @dataclass(frozen=True)
@@ -201,3 +176,39 @@ def parse_term(text: str, n: int) -> Term:
             raise ParseError(f"variable X{i} out of range 1..{n}")
         exps[i - 1] += int(m.group(2)) if m.group(2) else 1
     return tuple(exps)
+
+
+class TermMonoid:
+    """Terms under multiplication: the monoid of the commutative ring.
+
+    A leading term reduces every term it divides; the cofactor is the
+    exact quotient, applied to a tail term by multiplication.
+    """
+
+    default_order = TermOrder("deglex")
+    mul = staticmethod(term_mul)
+    degree = staticmethod(degree)
+    render = staticmethod(term_to_text)
+    parse = staticmethod(parse_term)
+
+    @staticmethod
+    def one(n: int) -> Term:
+        return (0,) * n
+
+    @staticmethod
+    def validate(t, n: int) -> Term:
+        t = tuple(t)
+        if len(t) != n or any(e < 0 for e in t):
+            raise ValueError(f"term {t} does not live in {n} variables")
+        return t
+
+    @staticmethod
+    def cofactor(lead: Term, t: Term) -> Optional[Term]:
+        """t / lead, or None when lead does not divide t."""
+        if all(x <= y for x, y in zip(lead, t)):
+            return tuple(y - x for x, y in zip(lead, t))
+        return None
+
+    @staticmethod
+    def apply(q: Term, s: Term) -> Term:
+        return tuple(x + y for x, y in zip(q, s))

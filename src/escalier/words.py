@@ -1,8 +1,10 @@
-"""Words over the variable alphabet and the length-graded word order.
+"""Words over the variable alphabet, the length-graded word order, and
+the word monoid.
 
 A word is a plain tuple of 1-based variable indices; the empty tuple is
 the term 1. Validity of the indices against an alphabet size is enforced
-at the polynomial and oracle boundaries, where n is known.
+at the polynomial and oracle boundaries, where n is known. WordMonoid
+packages the operations a free algebra over words needs.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from typing import Optional
 from .errors import ParseError
 
 Word = tuple[int, ...]
-
-
-def concat(left: Word, mid: Word, right: Word) -> Word:
-    return tuple(left) + tuple(mid) + tuple(right)
 
 
 def subword_occurrences(pattern: Word, w: Word) -> list[tuple[Word, Word]]:
@@ -37,20 +35,6 @@ def is_factor(pattern: Word, w: Word) -> bool:
     w = tuple(w)
     k = len(pattern)
     return any(w[i : i + k] == pattern for i in range(len(w) - k + 1))
-
-
-def split_left(w: Word) -> Optional[tuple[int, Word]]:
-    """(first letter, remainder), or None for the empty word."""
-    if not w:
-        return None
-    return w[0], tuple(w[1:])
-
-
-def split_right(w: Word) -> Optional[tuple[Word, int]]:
-    """(prefix, last letter), or None for the empty word."""
-    if not w:
-        return None
-    return tuple(w[:-1]), w[-1]
 
 
 @dataclass(frozen=True)
@@ -81,14 +65,6 @@ class WordOrder:
     def key(self, w: Word):
         return (len(w), tuple(self._rank(x) for x in w))
 
-    def compare(self, u: Word, v: Word) -> int:
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if ku == kv:
-            return 0
-        return 1
-
 
 _LETTER = re.compile(r"^X(\d+)$")
 
@@ -117,3 +93,46 @@ def parse_word(text: str, n: int) -> Word:
             raise ParseError(f"variable X{i} out of range 1..{n}")
         letters.append(i)
     return tuple(letters)
+
+
+class WordMonoid:
+    """Words under concatenation: the monoid of the free algebra.
+
+    A leading word reduces every word it is a factor of; the cofactor is
+    the (left, right) pair around its leftmost occurrence, applied to a
+    tail word by wrapping it.
+    """
+
+    default_order = WordOrder()
+    degree = staticmethod(len)
+    render = staticmethod(word_to_text)
+    parse = staticmethod(parse_word)
+
+    @staticmethod
+    def one(n: int) -> Word:
+        return ()
+
+    @staticmethod
+    def validate(w, n: int) -> Word:
+        w = tuple(w)
+        if any(not 1 <= x <= n for x in w):
+            raise ValueError(f"word {w} uses letters outside X1..X{n}")
+        return w
+
+    @staticmethod
+    def mul(u: Word, v: Word) -> Word:
+        return u + v
+
+    @staticmethod
+    def cofactor(lead: Word, w: Word) -> Optional[tuple[Word, Word]]:
+        """(left, right) with w = left + lead + right at the leftmost
+        occurrence of lead, or None when lead is not a factor of w."""
+        k = len(lead)
+        for start in range(len(w) - k + 1):
+            if w[start : start + k] == lead:
+                return w[:start], w[start + k :]
+        return None
+
+    @staticmethod
+    def apply(cofactor: tuple[Word, Word], s: Word) -> Word:
+        return cofactor[0] + s + cofactor[1]

@@ -18,9 +18,15 @@ def poly(text: str, n: int = 2, p: int = P) -> Polynomial:
 
 
 def ncpoly(text: str, n: int = 2, p: int = P) -> NcPolynomial:
-    from escalier import parse_nc_polynomial
+    from escalier import parse_polynomial
 
-    return parse_nc_polynomial(text, n, p)
+    return parse_polynomial(text, n, p, NcPolynomial)
+
+
+def compare(order, a, b) -> int:
+    """-1, 0 or 1 as a precedes, equals or follows b under order."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def monomial_oracle(gens, n, p=P, order=DEGLEX) -> CanOracle:

@@ -14,10 +14,16 @@ from escalier.crypto import (
     recover_basis_element,
 )
 from escalier.forge import build_counterexample, demonstrate_bound_necessity
-from escalier.nc_polynomials import NcPolynomial, nc_normal_form
+from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
 from escalier.peeling import covering_basis
-from escalier.polynomials import Polynomial, buchberger, gb_degree, render_ideal_file
+from escalier.polynomials import (
+    Polynomial,
+    buchberger,
+    gb_degree,
+    normal_form,
+    render_ideal_file,
+)
 from escalier.staircase import brute_force_generators, reconstruct
 from escalier.words import WordOrder
 
@@ -211,7 +217,7 @@ def test_criterion_8_covering_basis_contract():
                 publics.append(g)
         h = covering_basis(oracle, publics)
         for g in publics:
-            assert nc_normal_form(g, h, WORDS).is_zero()
+            assert normal_form(g, h, WORDS).is_zero()
         check = oracle.fresh_copy()
         for x in h:
             lead = x.leading_word(WORDS)

@@ -269,3 +269,63 @@ class TestBench:
         out = capsys.readouterr().out
         assert "brute force queries 81" in out
         assert "agree True" in out
+
+
+def _one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+class TestInputValidation:
+    def test_public_key_with_composite_modulus(self, tmp_path, capsys):
+        pub = tmp_path / "pub.key"
+        pub.write_text(
+            "publickey n=2 p=32004 order=deglex dbound=1 delta=4\n"
+            "g X1^2 + X2\nt 1\nt X1\n"
+        )
+        assert run(["encrypt", "--public", str(pub), "--message", "X1 + 2"]) == 2
+        _one_error_line(capsys)
+
+    def test_ciphertext_with_composite_modulus(self, tmp_path, capsys):
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        cipher = tmp_path / "c.txt"
+        cipher.write_text("cipher n=2 p=32004 delta=4\nX1 + 2\n")
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["recon", "attack", "bench-queries"])
+    def test_negative_bound(self, command, ex51, tmp_path, capsys):
+        argv = [command, "--ideal", str(ex51)]
+        if command == "attack":
+            ring = tmp_path / "key.ideal"
+            ring.write_text(KEYRING)
+            priv = tmp_path / "priv.ideal"
+            pub = tmp_path / "pub.key"
+            run(["keygen", "--ideal", str(ring), "--out-private", str(priv), "--out-public", str(pub)])
+            capsys.readouterr()
+            argv = ["attack", "--private", str(priv), "--public", str(pub)]
+        assert run(argv + ["--bound", "-1"]) == 2
+        _one_error_line(capsys)
+
+    def test_free_unit_ideal_exit_1(self, tmp_path, capsys):
+        priv = tmp_path / "unit.free"
+        priv.write_text("free n=2 p=32003\n1\n")
+        pub = tmp_path / "pub.free"
+        pub.write_text("free n=2 p=32003\nX1*X2\n")
+        assert run(["nc-recon", "--ideal", str(priv), "--public", str(pub)]) == 1
+        _one_error_line(capsys)
+
+    def test_runtime_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(oracle, publics, trace=None):
+            raise RuntimeError("peeled a generator that was already reduced away")
+
+        monkeypatch.setattr("escalier.cli.covering_basis", broken)
+        priv = tmp_path / "nc.free"
+        priv.write_text(NC_PRIVATE)
+        pub = tmp_path / "pub.free"
+        pub.write_text(NC_PUBLIC)
+        assert run(["nc-recon", "--ideal", str(priv), "--public", str(pub)]) == 1
+        _one_error_line(capsys)

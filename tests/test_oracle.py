@@ -105,7 +105,6 @@ class TestLedger:
         for t in [(1, 0), (2, 0), (0, 2)]:
             o.member_T(t)
         assert o.queries == 3
-        assert o.query_log == ((1, 0), (2, 0), (0, 2))
 
     def test_can_poly_counts_support(self):
         o = toy_oracle()
@@ -195,6 +194,12 @@ class TestNcOracle:
     def test_requires_confluent_basis(self):
         with pytest.raises(ValueError):
             CanOracle.noncommutative([ncpoly("X1*X1 - X2")])
+
+    def test_refuses_unit_ideal(self):
+        with pytest.raises(ValueError):
+            CanOracle.noncommutative([ncpoly("1")])
+        with pytest.raises(ValueError):
+            CanOracle.noncommutative([ncpoly("X1*X2"), ncpoly("3")])
 
     def test_member_two_sided_stability(self):
         o = CanOracle.noncommutative([ncpoly("X1*X2"), ncpoly("X2*X2*X1")])

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from escalier.nc_polynomials import NcPolynomial, nc_normal_form
+from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
 from escalier.peeling import candidate_terms, covering_basis, peel
+from escalier.polynomials import normal_form
 from escalier.words import WordOrder, is_factor
 
 from helpers import P, ncpoly
@@ -14,6 +15,32 @@ ORDER = WordOrder()
 
 def nc_oracle(*polys):
     return CanOracle.noncommutative(list(polys))
+
+
+class _AllInside:
+    """Membership stub for the unit ideal, which the real oracle refuses."""
+
+    queries = 0
+
+    def member_T(self, w):
+        return True
+
+
+class _Forgetful:
+    """Answers membership honestly but calls every word canonical, so each
+    element covering_basis builds is zero and nothing ever reduces."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.p = inner, inner.n, inner.p
+
+    def member_T(self, w):
+        return self.inner.member_T(w)
+
+    def can_poly(self, f):
+        return self.inner.can_poly(f)
+
+    def can_term(self, w):
+        return NcPolynomial.term(w, self.n, self.p)
 
 
 class TestCandidates:
@@ -70,6 +97,10 @@ class TestPeel:
         with pytest.raises(ValueError):
             peel(o, (2, 2))
 
+    def test_empty_word_raises(self):
+        with pytest.raises(ValueError):
+            peel(_AllInside(), ())
+
 
 class TestCoveringBasis:
     def test_single_generator_monomial(self):
@@ -110,7 +141,7 @@ class TestCoveringBasis:
         h = covering_basis(o, publics)
         # the contract: all public polynomials vanish modulo h
         for g in publics:
-            assert nc_normal_form(g, h, ORDER).is_zero()
+            assert normal_form(g, h, ORDER).is_zero()
         # each element is a reduced-basis member: minimal lead, normal tail
         check = o.fresh_copy()
         leads = [x.leading_word(ORDER) for x in h]
@@ -128,6 +159,11 @@ class TestCoveringBasis:
             for j in range(len(leads)):
                 if i != j:
                     assert not is_factor(leads[i], leads[j])
+
+    def test_repeated_generator_raises(self):
+        o = _Forgetful(nc_oracle(ncpoly("X1*X2")))
+        with pytest.raises(RuntimeError):
+            covering_basis(o, [ncpoly("X1*X2")])
 
     def test_rejects_foreign_polynomial(self):
         o = nc_oracle(ncpoly("X1*X2"))

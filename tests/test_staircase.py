@@ -5,13 +5,9 @@ import pytest
 from escalier.oracle import CanOracle
 from escalier.polynomials import buchberger
 from escalier.staircase import (
-    CaseTag,
     brute_force_generators,
-    classify,
-    diagonal_probe,
     parse_result,
     reconstruct,
-    reconstruct_2var,
     render_result,
 )
 from helpers import (
@@ -28,40 +24,6 @@ EX53 = [(2, 4), (4, 3)]
 EX6 = [(1, 3, 4), (0, 5, 3), (3, 2, 2), (4, 0, 1)]
 
 
-class TestProbe:
-    def test_first_staircase(self):
-        assert diagonal_probe(monomial_oracle(EX51, 2), 2, 8).level == 2
-
-    def test_three_vars(self):
-        assert diagonal_probe(monomial_oracle(EX6, 3), 3, 8).level == 3
-
-    def test_zero_ideal(self):
-        outcome = diagonal_probe(zero_oracle(2), 2, 5)
-        assert outcome.zero_ideal
-
-    def test_needs_positive_bound(self):
-        with pytest.raises(ValueError):
-            diagonal_probe(zero_oracle(2), 2, 0)
-
-
-class TestClassify:
-    def test_corner(self):
-        assert classify(monomial_oracle(EX51, 2), (2, 2)) is CaseTag.CORNER
-
-    def test_border(self):
-        assert classify(monomial_oracle(EX52, 2), (3, 3)) is CaseTag.BORDER
-
-    def test_interior(self):
-        assert classify(monomial_oracle(EX53, 2), (4, 4)) is CaseTag.INTERIOR
-
-    def test_outside_raises(self):
-        with pytest.raises(ValueError):
-            classify(monomial_oracle(EX51, 2), (1, 1))
-
-    def test_missing_predecessors_count_outside(self):
-        assert classify(monomial_oracle([(0, 8)], 2), (0, 8)) is CaseTag.CORNER
-
-
 class TestTwoVariables:
     @pytest.mark.parametrize(
         "gens,bound,budget",
@@ -69,16 +31,16 @@ class TestTwoVariables:
     )
     def test_golden_staircases(self, gens, bound, budget):
         o = monomial_oracle(gens, 2)
-        got = reconstruct_2var(o, bound)
+        got = reconstruct(o, 2, bound).generators
         assert got == set(gens)
         assert o.queries < budget
 
     def test_zero_ideal(self):
-        assert reconstruct_2var(zero_oracle(2), 5) == set()
+        assert reconstruct(zero_oracle(2), 2, 5).generators == set()
 
     def test_unit_ideal(self):
         o = CanOracle.commutative([poly("1")], DEGLEX)
-        assert reconstruct_2var(o, 5) == {(0, 0)}
+        assert reconstruct(o, 2, 5).generators == {(0, 0)}
 
     def test_brute_force_counts(self):
         o = monomial_oracle(EX51, 2)
@@ -123,10 +85,15 @@ class TestReconstruct:
         assert tuple(got) == gb.elements
 
     def test_soundness_via_classify(self):
+        # every generator is a corner: inside, with every predecessor outside
         res = reconstruct(monomial_oracle(EX6, 3), 3, 8)
         fresh = monomial_oracle(EX6, 3)
         for t in res.generators:
-            assert classify(fresh, t) is CaseTag.CORNER
+            assert fresh.member_T(t)
+            for i in range(3):
+                if t[i] > 0:
+                    pred = tuple(e - (k == i) for k, e in enumerate(t))
+                    assert not fresh.member_T(pred)
 
     def test_level_growth_off_the_witness_line(self):
         # slice tower (0,5) -> (0,5),(4,2) -> (0,2): dropping a single

@@ -4,15 +4,15 @@ import pytest
 
 from escalier.errors import ParseError
 from escalier.words import (
+    WordMonoid,
     WordOrder,
-    concat,
     is_factor,
     parse_word,
-    split_left,
-    split_right,
     subword_occurrences,
     word_to_text,
 )
+
+from helpers import compare
 
 ORDER = WordOrder()
 
@@ -24,16 +24,16 @@ def random_word(rng, n=2, max_len=5):
 class TestConcat:
     def test_identity(self):
         w = (1, 2, 1)
-        assert concat((), w, ()) == w
+        assert WordMonoid.apply(((), ()), w) == w
 
     def test_example(self):
-        assert concat((1,), (2, 1), (2,)) == (1, 2, 1, 2)
+        assert WordMonoid.apply(((1,), (2,)), (2, 1)) == (1, 2, 1, 2)
 
     def test_length_additive(self):
         rng = random.Random(0)
         for _ in range(50):
             l, m, r = (random_word(rng) for _ in range(3))
-            assert len(concat(l, m, r)) == len(l) + len(m) + len(r)
+            assert len(WordMonoid.apply((l, r), m)) == len(l) + len(m) + len(r)
 
 
 class TestOccurrences:
@@ -57,20 +57,8 @@ class TestOccurrences:
             pat = random_word(rng, max_len=3)
             w = random_word(rng, max_len=6)
             for left, right in subword_occurrences(pat, w):
-                assert concat(left, pat, right) == w
+                assert WordMonoid.apply((left, right), pat) == w
             assert bool(subword_occurrences(pat, w)) == is_factor(pat, w)
-
-
-class TestSplit:
-    def test_left(self):
-        assert split_left((1, 2, 3)) == (1, (2, 3))
-
-    def test_right(self):
-        assert split_right((1, 2, 3)) == ((1, 2), 3)
-
-    def test_empty(self):
-        assert split_left(()) is None
-        assert split_right(()) is None
 
 
 class TestOrder:
@@ -78,25 +66,25 @@ class TestOrder:
         rng = random.Random(2)
         for _ in range(200):
             u, v = random_word(rng), random_word(rng)
-            assert ORDER.compare(u, v) == -ORDER.compare(v, u)
-            assert (ORDER.compare(u, v) == 0) == (u == v)
+            assert compare(ORDER, u, v) == -compare(ORDER, v, u)
+            assert (compare(ORDER, u, v) == 0) == (u == v)
             if u:
-                assert ORDER.compare((), u) == -1
+                assert compare(ORDER, (), u) == -1
 
     def test_two_sided_compatibility(self):
         rng = random.Random(3)
         for _ in range(200):
             u, v, l, r = (random_word(rng) for _ in range(4))
-            if ORDER.compare(u, v) == -1:
-                assert ORDER.compare(l + u + r, l + v + r) == -1
+            if compare(ORDER, u, v) == -1:
+                assert compare(ORDER, l + u + r, l + v + r) == -1
 
     def test_length_graded(self):
-        assert ORDER.compare((2,), (1, 1)) == -1
-        assert ORDER.compare((1, 2), (2, 1)) == -1
+        assert compare(ORDER, (2,), (1, 1)) == -1
+        assert compare(ORDER, (1, 2), (2, 1)) == -1
 
     def test_precedence(self):
         rev = WordOrder(precedence=(2, 1))
-        assert rev.compare((2,), (1,)) == -1
+        assert compare(rev, (2,), (1,)) == -1
 
 
 class TestText:
