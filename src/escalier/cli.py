@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import crypto, forge
 from .errors import ParseError
+from .field import is_prime
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -27,8 +28,11 @@ from .polynomials import (
     s_polynomial,
 )
 from .staircase import brute_force_generators, reconstruct, render_result
-from .terms import TermOrder
+from .terms import Box, TermOrder
 from .words import WordOrder
+
+# bench-queries enumerates and sorts the whole box; refuse larger ones
+_MAX_BOX_TERMS = 10**6
 
 
 def _emit(text: str, out_path):
@@ -40,10 +44,10 @@ def _emit(text: str, out_path):
 
 def _load_ideal(path, order_override=None, p_override=None):
     n, p, order, polys = parse_ideal_file(Path(path).read_text())
-    if p_override:
-        from .field import validate_prime
-
-        p = validate_prime(p_override)
+    if p_override is not None:
+        if not is_prime(p_override):
+            raise ParseError(f"modulus {p_override} is not prime")
+        p = p_override
         polys = [Polynomial(n, p, dict(f.items())) for f in polys]
     if order_override:
         order = TermOrder(order_override)
@@ -187,6 +191,9 @@ def _cmd_verify_gb(args) -> int:
 
 def _cmd_bench_queries(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+    size = Box(n, args.bound).size
+    if size > _MAX_BOX_TERMS:
+        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound)
     brute_oracle = oracle.fresh_copy()

@@ -3,10 +3,10 @@ from membership queries alone, plus the reduced basis read off the oracle.
 
 The algorithm never inspects the hidden term order. In two variables it
 walks the staircase outward from the first diagonal hit; in three or more
-it slices the exponent space along the last variable, reconstructs each
-slice with the lower-dimensional algorithm through a pinned-coordinate
-view of the oracle, and keeps the slice generators whose last-variable
-predecessor falls outside the leading-term ideal.
+it learns the staircase through its corners, the maximal box terms
+outside the generators found so far: an inside corner is lowered one
+coordinate at a time to a new generator, which splits every corner it
+divides, until every corner is confirmed outside.
 
 Every scan is a linear walk by default; pass binary=True to bisect the
 same monotone scans (membership along a ray only switches once).
@@ -19,7 +19,7 @@ from typing import Callable
 
 from .errors import ParseError
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
-from .terms import Box, Term, box_enumerate, minimal_terms, parse_term, term_to_text
+from .terms import Box, Term, box_enumerate, divides, minimal_terms, parse_term, term_to_text
 
 
 @dataclass(frozen=True)
@@ -153,84 +153,39 @@ def _two_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
     return gens
 
 
-# --- n >= 3: hyperplane slicing ---------------------------------------------
+# --- n >= 3: corner splitting -----------------------------------------------
 
 
-class _SliceView:
-    """Membership view of the hyperplane with the last exponent pinned.
-
-    A slice of the leading-term ideal is upward closed in the remaining
-    variables, so the lower-dimensional algorithm applies unchanged; the
-    ledger stays with the parent oracle.
-    """
-
-    __slots__ = ("_parent", "_level")
-
-    def __init__(self, parent, level: int):
-        self._parent = parent
-        self._level = level
-
-    def member_T(self, sigma) -> bool:
-        return self._parent.member_T(tuple(sigma) + (self._level,))
-
-
-def _process_level(oracle, n: int, bound: int, level: int, out: set, binary: bool):
-    """Reconstruct one slice and keep its generators that are new at this
-    level (last-variable predecessor outside). Returns (sigma, below) pairs
-    where below records membership of sigma one level down."""
-    slice_gens = _generators(_SliceView(oracle, level), n - 1, bound, binary)
-    summary = []
-    for sigma in sorted(slice_gens):
-        if level == 0:
-            out.add(sigma + (0,))
-            summary.append((sigma, False))
-        else:
-            below = oracle.member_T(sigma + (level - 1,))
-            if not below:
-                out.add(sigma + (level,))
-            summary.append((sigma, below))
-    return summary
-
-
-def _sliced_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
-    if oracle.member_T((0,) * n):
-        return {(0,) * n}
-    j = _scan_min_true(lambda v: oracle.member_T((v,) * n), 1, bound, binary)
-    if j is None:
-        return set()
-
+def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
+    """In-box generators by corner splitting (see the module docstring);
+    the cost follows the generators and corners, not the box."""
     gens: set[Term] = set()
-    first = _process_level(oracle, n, bound, j, gens, binary)
+    corners = {(bound,) * n}
+    known: dict[Term, bool] = {}
 
-    # upward: a generator can appear at any higher level, so every slice
-    # up to the bound is reconstructed and filtered
-    for level in range(j + 1, bound + 1):
-        _process_level(oracle, n, bound, level, gens, binary)
+    def member(t: Term) -> bool:
+        if t not in known:
+            known[t] = oracle.member_T(t)
+        return known[t]
 
-    # downward: before reconstructing the next slice, check that anything
-    # of the ideal survives there at all. Scanning the diagonal ray from
-    # each in-box slice generator is exhaustive: any surviving point is
-    # dominated by a slice generator, and the dominating generator of an
-    # in-box point is itself in the box. Skipping levels by dropping a
-    # single witness line can overshoot a level where the slice grows off
-    # the line, so no level is skipped.
-    level = j
-    summary = first
-    while level >= 1 and summary:
-        below = any(b for _, b in summary)
-        if not below:
-            for sigma, _ in summary:
-                cap = max(bound - c for c in sigma)
-                probe = lambda l, s=sigma: oracle.member_T(
-                    tuple(c + l for c in s) + (level - 1,)
-                )
-                if _scan_min_true(probe, 1, cap, binary) is not None:
-                    below = True
-                    break
-        if not below:
-            break
-        level -= 1
-        summary = _process_level(oracle, n, bound, level, gens, binary)
+    # a known corner is confirmed outside: inside ones are split away
+    while pending := corners - known.keys():
+        c = min(pending)
+        if not member(c):
+            continue
+        # lower each coordinate in turn to its least inside value; the
+        # current value is known inside, so reaching it costs no query
+        g = c
+        for i in range(n):
+            lowered = lambda v, g=g, i=i: member(g[:i] + (v,) + g[i + 1 :])
+            g = g[:i] + (_scan_min_true(lowered, 0, g[i], binary),) + g[i + 1 :]
+        gens.add(g)
+        hit = {d for d in corners if divides(g, d)}
+        split = {d[:i] + (e - 1,) + d[i + 1 :] for d in hit for i, e in enumerate(g) if e}
+        corners -= hit
+        # untouched corners stay maximal; a split one may fall below another
+        pool = corners | split
+        corners |= {d for d in split if not any(d != e and divides(d, e) for e in pool)}
     return gens
 
 
@@ -242,7 +197,7 @@ def _generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
         return _one_var_generators(oracle, bound, binary)
     if n == 2:
         return _two_var_generators(oracle, bound, binary)
-    return _sliced_generators(oracle, n, bound, binary)
+    return _corner_generators(oracle, n, bound, binary)
 
 
 def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseResult:

@@ -81,7 +81,7 @@ def test_criterion_4_three_variables():
     assert res.generators == set(gens)
     assert res.queries_used < 729
     assert elapsed < 5.0
-    _ok(4, "three-variable slicing, bound 8")
+    _ok(4, "three-variable corners, bound 8")
 
 
 def test_criterion_5_randomized_monomial_equivalence():

@@ -310,6 +310,20 @@ class TestInputValidation:
         assert run(argv + ["--bound", "-1"]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize("modulus", ["8", "-5", "0"])
+    def test_bad_prime_override(self, modulus, ex51, capsys):
+        argv = ["recon", "--ideal", str(ex51), "--bound", "4", "--p", modulus]
+        assert run(argv) == 2
+        _one_error_line(capsys)
+
+    def test_bench_queries_oversized_box(self, tmp_path, capsys, monkeypatch):
+        # refused before any oracle exists: building one would fail here
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        ideal = tmp_path / "three.ideal"
+        ideal.write_text("ring n=3 p=32003 order=deglex\nX1*X2*X3\n")
+        assert run(["bench-queries", "--ideal", str(ideal), "--bound", "100000"]) == 2
+        _one_error_line(capsys)
+
     def test_free_unit_ideal_exit_1(self, tmp_path, capsys):
         priv = tmp_path / "unit.free"
         priv.write_text("free n=2 p=32003\n1\n")

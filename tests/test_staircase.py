@@ -22,6 +22,18 @@ EX51 = [(2, 2), (1, 3), (4, 1), (0, 8)]
 EX52 = [(3, 2)]
 EX53 = [(2, 4), (4, 3)]
 EX6 = [(1, 3, 4), (0, 5, 3), (3, 2, 2), (4, 0, 1)]
+# box bound per variable count, shrinking so every n costs about the same
+BOUNDS = {1: 12, 2: 12, 3: 6, 4: 4, 5: 3, 6: 2}
+
+
+def _agrees_with_brute_force(gens, n, bound):
+    """Reconstruct in both scan modes, check each against brute force and
+    return the brute-force generators."""
+    brute = brute_force_generators(monomial_oracle(gens, n), n, bound)
+    for binary in (False, True):
+        got = reconstruct(monomial_oracle(gens, n), n, bound, binary=binary)
+        assert got.generators == frozenset(brute)
+    return brute
 
 
 class TestTwoVariables:
@@ -96,8 +108,8 @@ class TestReconstruct:
                     assert not fresh.member_T(pred)
 
     def test_level_growth_off_the_witness_line(self):
-        # slice tower (0,5) -> (0,5),(4,2) -> (0,2): dropping a single
-        # diagonal witness from the top slice dives past the middle level
+        # slices along X3 go (0,5) -> (0,5),(4,2) -> (0,2): the middle
+        # level holds a generator off the diagonal witness line
         gens = [(0, 2, 4), (4, 2, 3), (0, 5, 2)]
         res = reconstruct(monomial_oracle(gens, 3), 3, 8)
         assert res.generators == set(gens)
@@ -119,22 +131,32 @@ class TestReconstruct:
 
     def test_equivalence_random(self):
         rng = random.Random(42)
+        cases = [
+            (gens, n, bound)
+            for n in range(3, 7)
+            for gens in ([], [(0,) * n])
+            for bound in (0, BOUNDS[n])
+        ]
         for _ in range(60):
-            n = rng.choice([2, 3, 4])
-            gens = random_monomial_ideal(rng, n, 6)
-            got = reconstruct(monomial_oracle(gens, n), n, 6).generators
-            brute = brute_force_generators(monomial_oracle(gens, n), n, 6)
+            n = rng.choice(sorted(BOUNDS))
+            cases.append((random_monomial_ideal(rng, n, BOUNDS[n]), n, BOUNDS[n]))
+        for gens, n, bound in cases:
             # the sampled generators are the oracle-free ground truth here
-            assert got == frozenset(brute) == frozenset(gens)
+            assert _agrees_with_brute_force(gens, n, bound) == set(gens)
 
     def test_equivalence_generators_outside_box(self):
         rng = random.Random(43)
         for _ in range(40):
-            n = rng.choice([2, 3])
-            gens = random_monomial_ideal(rng, n, 9)
-            got = reconstruct(monomial_oracle(gens, n), n, 5).generators
-            brute = brute_force_generators(monomial_oracle(gens, n), n, 5)
-            assert got == frozenset(brute)
+            n = rng.choice(sorted(BOUNDS))
+            bound = rng.randint(0, BOUNDS[n])
+            _agrees_with_brute_force(random_monomial_ideal(rng, n, bound + 3), n, bound)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_query_budget_three_variables(self, binary):
+        # corner splitting pays per generator and corner, not per level
+        res = reconstruct(monomial_oracle(EX6, 3), 3, 8, binary=binary)
+        assert res.generators == set(EX6)
+        assert res.queries_used < 100
 
     def test_query_frugality_on_goldens(self):
         for gens, n, bound in [(EX51, 2, 8), (EX52, 2, 5), (EX53, 2, 7), (EX6, 3, 8)]:
