@@ -27,12 +27,9 @@ from .polynomials import (
     render_ideal_file,
     s_polynomial,
 )
-from .staircase import brute_force_generators, reconstruct, render_result
+from .staircase import _MAX_BOX_TERMS, brute_force_generators, reconstruct, render_result
 from .terms import Box, TermOrder
 from .words import WordOrder
-
-# bench-queries enumerates and sorts the whole box; refuse larger ones
-_MAX_BOX_TERMS = 10**6
 
 
 def _emit(text: str, out_path):
@@ -54,12 +51,20 @@ def _load_ideal(path, order_override=None, p_override=None):
     return n, p, order, polys
 
 
+def _check_box(n: int, bound: int) -> None:
+    """Refuse a box too large to reconstruct in, before any oracle exists."""
+    size = Box(n, bound).size
+    if size > _MAX_BOX_TERMS:
+        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+
+
 def _load_free(path):
     return parse_free_file(Path(path).read_text())
 
 
 def _cmd_recon(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+    _check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound, binary=args.binary_search)
     _emit(render_result(res), args.out)
@@ -142,8 +147,10 @@ def _cmd_decrypt(args) -> int:
 def _cmd_attack(args) -> int:
     n, p, order, polys = _load_ideal(args.private)
     pk = crypto.parse_public_key(Path(args.public).read_text())
+    bound = pk.degree_cap if args.bound is None else args.bound
+    _check_box(pk.n, bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
-    result = crypto.attack_commutative(oracle, pk, bound=args.bound)
+    result = crypto.attack_commutative(oracle, pk, bound=bound)
     _emit(render_result(result.staircase), args.out)
     if args.queries:
         print(f"queries {oracle.queries}")
@@ -191,9 +198,7 @@ def _cmd_verify_gb(args) -> int:
 
 def _cmd_bench_queries(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
-    size = Box(n, args.bound).size
-    if size > _MAX_BOX_TERMS:
-        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    _check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound)
     brute_oracle = oracle.fresh_copy()

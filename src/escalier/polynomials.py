@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import ParseError
@@ -28,10 +29,11 @@ class Polynomial:
     """Immutable sparse polynomial: monomial -> nonzero residue mod p.
 
     The class attribute monoid says what a monomial is; here an exponent
-    tuple in n variables.
+    tuple in n variables. _lead caches (order, leading monomial) for the
+    last order asked.
     """
 
-    __slots__ = ("n", "p", "_coeffs")
+    __slots__ = ("n", "p", "_coeffs", "_lead")
     monoid = TermMonoid
 
     def __init__(self, n: int, p: int, coeffs: Optional[dict] = None):
@@ -46,6 +48,7 @@ class Polynomial:
                 if c:
                     clean[t] = c
         self._coeffs = clean
+        self._lead = None
 
     @classmethod
     def zero(cls, n: int, p: int) -> "Polynomial":
@@ -126,9 +129,12 @@ class Polynomial:
         return NotImplemented
 
     def leading_term(self, order):
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self._coeffs, key=order.key)
+        lead = self._lead
+        if lead is None or lead[0] != order:
+            if not self._coeffs:
+                raise ValueError("zero polynomial has no leading term")
+            lead = self._lead = (order, max(self._coeffs, key=order.key))
+        return lead[1]
 
     def leading_coefficient(self, order) -> int:
         return self._coeffs[self.leading_term(order)]
@@ -242,6 +248,8 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial
     reducer with the smallest leading monomial wins with ties by list
     position, and a word is rewritten at its leftmost occurrence.
     """
+    if f.is_zero():
+        return f
     key = order.key
     reducers = []
     for idx, g in enumerate(basis):
@@ -285,78 +293,70 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial
     return type(f)(f.n, p, out)
 
 
-def _select_pair(pairs, leads, order):
-    def pair_key(ij):
-        i, j = ij
-        return (order.key(lcm(leads[i], leads[j])), i, j)
-
-    return min(pairs, key=pair_key)
-
-
 def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal of the generators.
 
-    Normal pair selection (smallest lcm first); pairs with coprime leads
-    are skipped, and the chain criterion drops a pair when a third lead
-    divides its lcm and both companion pairs were already settled.
+    Pairs wait in a heap keyed once by the order key of their lcm: the
+    normal strategy, smallest lcm first, ties by index. Each new element h
+    passes the Gebauer-Moller update (Gebauer & Moller 1988). B: an old
+    pair is dropped when lt(h) divides its lcm and that lcm differs from
+    the lcms of both its leads with lt(h); it stays in the heap and is
+    skipped when popped. M and F: of the new pairs with h, one per
+    divisibility-minimal lcm survives, and none of an lcm where some pair
+    has coprime leads. Elements whose lead lt(h) divides form no further
+    pairs but still reduce. The minimal basis is interreduced in one
+    pass: its leads are fixed, so each remainder is the reduced element.
     """
-    gens = [g for g in generators if not g.is_zero()]
+    gens = [g.monic(order) for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("cannot complete a basis from zero generators")
-    n, p = gens[0].n, gens[0].p
+    key = order.key
+    basis: list[Polynomial] = []
+    leads: list[Term] = []
+    alive: list[int] = []
+    pending: dict[tuple[int, int], Term] = {}
+    heap: list = []
 
-    basis = [g.monic(order) for g in gens]
-    leads = [g.leading_term(order) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    settled: set[tuple[int, int]] = set()
+    def update(h: Polynomial) -> None:
+        k, th = len(basis), h.leading_term(order)
+        basis.append(h)
+        leads.append(th)
+        for (i, j), big in list(pending.items()):
+            if divides(th, big) and big != lcm(leads[i], th) and big != lcm(leads[j], th):
+                del pending[i, j]
+        classes: dict[Term, list[int]] = {}
+        for i in alive:
+            classes.setdefault(lcm(leads[i], th), []).append(i)
+        for big, members in classes.items():
+            if any(c != big and divides(c, big) for c in classes):
+                continue
+            if any(big == term_mul(leads[i], th) for i in members):
+                continue
+            pending[members[0], k] = big
+            heappush(heap, (key(big), members[0], k))
+        alive[:] = [i for i in alive if not divides(th, leads[i])]
+        alive.append(k)
 
-    while pairs:
-        i, j = _select_pair(pairs, leads, order)
-        pairs.discard((i, j))
-        ti, tj = leads[i], leads[j]
-        big = lcm(ti, tj)
-        if big == term_mul(ti, tj):
-            settled.add((i, j))
+    for g in gens:
+        update(g)
+    while heap:
+        _, i, j = heappop(heap)
+        if pending.pop((i, j), None) is None:
             continue
-        chained = any(
-            k != i
-            and k != j
-            and divides(leads[k], big)
-            and (min(i, k), max(i, k)) in settled
-            and (min(j, k), max(j, k)) in settled
-            for k in range(len(basis))
-        )
-        if chained:
-            continue
-        settled.add((i, j))
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
-            r = r.monic(order)
-            k = len(basis)
-            basis.append(r)
-            leads.append(r.leading_term(order))
-            pairs.update((i2, k) for i2 in range(k))
+            update(r.monic(order))
 
     # minimal basis: drop elements whose lead another lead divides
     minimal: list[Polynomial] = []
-    for g in sorted(basis, key=lambda g: order.key(g.leading_term(order))):
+    for g in sorted((basis[i] for i in alive), key=lambda g: key(g.leading_term(order))):
         t = g.leading_term(order)
         if not any(divides(h.leading_term(order), t) for h in minimal):
             minimal.append(g)
-
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(minimal[i], others, order).monic(order)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-
-    minimal.sort(key=lambda g: order.key(g.leading_term(order)))
-    return GroebnerBasis(tuple(minimal), order, reduced=True)
+    reduced = [
+        normal_form(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)
+    ]
+    return GroebnerBasis(tuple(reduced), order, reduced=True)
 
 
 def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:

@@ -22,6 +22,11 @@ from .polynomials import Polynomial, content_lines, header, parse_polynomial
 from .terms import Box, Term, box_enumerate, divides, minimal_terms, parse_term, term_to_text
 
 
+# the largest box (bound+1)**n that brute force enumerates and that the
+# CLI lets a reconstruction cover
+_MAX_BOX_TERMS = 10**6
+
+
 @dataclass(frozen=True)
 class StaircaseResult:
     generators: frozenset[Term]
@@ -222,10 +227,12 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
 
 def brute_force_generators(oracle, n: int, bound: int) -> set[Term]:
     """Baseline: query every box term and keep the divisibility-minimal
-    members; always (bound+1)**n queries."""
-    members = [
-        t for t in box_enumerate(Box(n, bound)) if oracle.member_T(t)
-    ]
+    members; always (bound+1)**n queries. Refuses a box of more than
+    _MAX_BOX_TERMS terms, which it would have to sort in memory."""
+    box = Box(n, bound)
+    if box.size > _MAX_BOX_TERMS:
+        raise ValueError(f"box of {box.size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    members = [t for t in box_enumerate(box) if oracle.member_T(t)]
     return minimal_terms(members)
 
 

@@ -324,6 +324,28 @@ class TestInputValidation:
         assert run(["bench-queries", "--ideal", str(ideal), "--bound", "100000"]) == 2
         _one_error_line(capsys)
 
+    def test_recon_oversized_box(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        ideal = tmp_path / "x3.ideal"
+        ideal.write_text("ring n=2 p=32003 order=deglex\nX1^3\n")
+        assert run(["recon", "--ideal", str(ideal), "--bound", "200000"]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("bound", [[], ["--bound", "1000000000"]])
+    def test_attack_oversized_box(self, bound, tmp_path, capsys, monkeypatch):
+        # without --bound the public degree cap, here 2000, is the bound
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        pub = tmp_path / "pub.key"
+        pub.write_text(
+            "publickey n=2 p=32003 order=deglex dbound=1 delta=2000\n"
+            "g X1^2 + X2\nt 1\nt X1\n"
+        )
+        argv = ["attack", "--private", str(priv), "--public", str(pub)]
+        assert run(argv + bound) == 2
+        _one_error_line(capsys)
+
     def test_free_unit_ideal_exit_1(self, tmp_path, capsys):
         priv = tmp_path / "unit.free"
         priv.write_text("free n=2 p=32003\n1\n")

@@ -16,9 +16,10 @@ from escalier.polynomials import (
     render_ideal_file,
     s_polynomial,
 )
-from escalier.terms import lcm
+from escalier.terms import TermOrder, lcm
+from escalier.words import WordOrder
 
-from helpers import DEGLEX, LEX, P, compare, poly, random_poly
+from helpers import DEGLEX, LEX, P, compare, ncpoly, poly, random_poly
 
 
 class TestLeadingData:
@@ -37,6 +38,23 @@ class TestLeadingData:
     def test_zero_raises(self):
         with pytest.raises(ValueError):
             Polynomial.zero(2, P).leading_term(DEGLEX)
+        with pytest.raises(ValueError):
+            Polynomial.zero(2, P).leading_term(LEX)
+
+    def test_cached_lead_follows_the_order(self):
+        f = poly("X1^3 + X2")
+        assert f.leading_term(LEX) == (0, 1)
+        assert f.leading_data(DEGLEX) == ((3, 0), 1)
+        assert f.leading_term(LEX) == (0, 1)
+        assert f.leading_term(TermOrder("lex")) == (0, 1)
+
+    def test_cached_word_lead_follows_the_order(self):
+        f = ncpoly("X1*X2 + 5*X2*X1")
+        swapped = WordOrder(precedence=(2, 1))
+        assert f.leading_word(WordOrder()) == (2, 1)
+        assert f.leading_data(swapped) == ((1, 2), 1)
+        assert f.leading_word(WordOrder()) == (2, 1)
+        assert f.monic(WordOrder()).leading_data(WordOrder()) == ((2, 1), 1)
 
 
 class TestSPolynomial:

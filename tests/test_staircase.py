@@ -65,6 +65,13 @@ class TestTwoVariables:
         assert brute_force_generators(o, 3, 2) == set()
         assert o.queries == 27
 
+    def test_brute_force_refuses_a_huge_box(self):
+        # 101^3 terms, just over the limit: refused before any query
+        o = zero_oracle(3)
+        with pytest.raises(ValueError):
+            brute_force_generators(o, 3, 100)
+        assert o.queries == 0
+
 
 class TestReconstruct:
     def test_three_var_golden(self):
