@@ -26,7 +26,6 @@ from .polynomials import (
     buchberger,
     gb_degree,
     is_groebner,
-    lead_degree,
     normal_form,
     parse_ideal_file,
     parse_polynomial,

@@ -58,8 +58,14 @@ def _check_box(n: int, bound: int) -> None:
         raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
 
 
-def _load_free(path):
-    return parse_free_file(Path(path).read_text())
+def _free_oracle(private, public):
+    """Oracle of the private free-algebra basis, with the public
+    polynomials, which must live in the same algebra."""
+    n, p, basis = parse_free_file(Path(private).read_text())
+    pn, pp, publics = parse_free_file(Path(public).read_text())
+    if (pn, pp) != (n, p):
+        raise ValueError("public file and private file use different algebras")
+    return CanOracle.noncommutative(basis), publics
 
 
 def _cmd_recon(args) -> int:
@@ -74,14 +80,10 @@ def _cmd_recon(args) -> int:
 
 
 def _cmd_nc_recon(args) -> int:
-    n, p, basis = _load_free(args.ideal)
-    pn, pp, publics = _load_free(args.public)
-    if (pn, pp) != (n, p):
-        raise ValueError("public file and private file use different algebras")
-    oracle = CanOracle.noncommutative(basis)
+    oracle, publics = _free_oracle(args.ideal, args.public)
     trace: list[str] = []
     h = covering_basis(oracle, publics, trace=trace)
-    lines = [render_free_file(h, n, p).rstrip("\n")]
+    lines = [render_free_file(h, oracle.n, oracle.p).rstrip("\n")]
     lines.extend(f"# {line}" for line in trace)
     _emit("\n".join(lines) + "\n", args.out)
     if args.queries:
@@ -158,11 +160,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_nc_probe(args) -> int:
-    n, p, basis = _load_free(args.private)
-    pn, pp, publics = _load_free(args.public)
-    if (pn, pp) != (n, p):
-        raise ValueError("public file and private file use different algebras")
-    oracle = CanOracle.noncommutative(basis)
+    oracle, publics = _free_oracle(args.private, args.public)
     rng = random.Random(args.seed)
     report = crypto.nc_attack_probe(oracle, publics, args.trials, rng)
     print(
@@ -301,21 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value each integer option takes, refused below it before any work
+_LEAST = {"bound": 0, "public_count": 1, "noise_degree": 0, "message_terms": 0, "trials": 0}
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    if getattr(args, "bound", None) is not None and args.bound < 0:
-        print(f"error: --bound must be nonnegative, got {args.bound}", file=sys.stderr)
-        return 2
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ParseError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

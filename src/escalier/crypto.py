@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .errors import ParseError
@@ -30,19 +30,8 @@ from .polynomials import (
     parse_polynomial,
 )
 from .staircase import StaircaseResult, reconstruct
-from .terms import Term, TermOrder, divides, parse_term, term_to_text
+from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
 from .words import WordOrder
-
-
-def _terms_up_to_degree(n: int, d: int) -> list[Term]:
-    out = []
-    for total in range(d + 1):
-        for combo in combinations_with_replacement(range(n), total):
-            exps = [0] * n
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-    return out
 
 
 def random_polynomial(
@@ -50,7 +39,7 @@ def random_polynomial(
 ) -> Polynomial:
     """Random polynomial of total degree at most max_degree; may be zero."""
     coeffs = {}
-    for t in _terms_up_to_degree(n, max_degree):
+    for t in chain.from_iterable(terms_of_degree(n, d) for d in range(max_degree + 1)):
         if rng.random() < density:
             coeffs[t] = rng.randrange(1, p)
     return Polynomial(n, p, coeffs)
@@ -101,11 +90,12 @@ def keygen(
     Restricted to degree-compatible orders: the published degree cap and
     the normal-term enumeration both ride on total degree.
     """
-    if isinstance(generators, GroebnerBasis):
-        basis = generators if generators.reduced else buchberger(
-            list(generators.elements), generators.order
+    if count_public < 1 or noise_degree < 0 or message_terms < 0:
+        raise ValueError(
+            "keygen needs count_public >= 1, noise_degree >= 0 and message_terms >= 0"
         )
-        order = basis.order
+    if isinstance(generators, GroebnerBasis):
+        basis, order = generators, generators.order
     else:
         basis = buchberger(list(generators), order)
     if not order.degree_compatible:
@@ -122,10 +112,7 @@ def keygen(
     while len(normal) < message_terms:
         layer = [
             t
-            for t in sorted(
-                (t for t in _terms_up_to_degree(n, d) if sum(t) == d),
-                key=order.key,
-            )
+            for t in sorted(terms_of_degree(n, d), key=order.key)
             if not any(divides(lt, t) for lt in leads)
         ]
         if d > 0 and not layer:

@@ -13,7 +13,6 @@ shifted ideal's staircase instead of the full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Union
 
 from .oracle import CanOracle
@@ -26,15 +25,7 @@ from .polynomials import (
     normal_form,
 )
 from .staircase import reconstruct
-from .terms import Term, TermOrder, divides, minimal_terms, term_to_text, variable
-
-
-def _terms_of_degree(n: int, d: int):
-    for combo in combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        yield tuple(exps)
+from .terms import Term, TermOrder, divides, minimal_terms, term_to_text, terms_of_degree, variable
 
 
 @dataclass(frozen=True)
@@ -76,10 +67,7 @@ def build_counterexample(
     times a pure X1 power) is recomputed and compared, not trusted.
     """
     if isinstance(generators, GroebnerBasis):
-        base = generators if generators.reduced else buchberger(
-            list(generators.elements), generators.order
-        )
-        order = base.order
+        base, order = generators, generators.order
     else:
         base = buchberger(list(generators), order)
     if not order.degree_compatible:
@@ -95,7 +83,7 @@ def build_counterexample(
     leads = base.leading_terms()
     candidates = [
         t
-        for t in _terms_of_degree(n, agree_degree + 1)
+        for t in terms_of_degree(n, agree_degree + 1)
         if any(divides(lt, t) for lt in leads)
     ]
     if not candidates:

@@ -36,7 +36,7 @@ class CanOracle:
     # --- construction -------------------------------------------------
 
     @classmethod
-    def _build(cls, algebra, elements, order, n, p, memo):
+    def _build(cls, algebra, elements, order, n, p):
         self = object.__new__(cls)
         self.__algebra = algebra
         self.__monoid = algebra.monoid
@@ -45,8 +45,6 @@ class CanOracle:
         self.__leads = tuple(g.leading_term(order) for g in self.__elements)
         self.__n = n
         self.__p = p
-        self.__memo_on = memo
-        self.__memo = {}
         self.__count = 0
         return self
 
@@ -58,16 +56,11 @@ class CanOracle:
         *,
         n: Optional[int] = None,
         p: Optional[int] = None,
-        memo: bool = False,
     ) -> "CanOracle":
         """Oracle for the ideal of the generators; an empty generator list
         (with explicit n and p) gives the zero ideal."""
         if isinstance(generators, GroebnerBasis):
-            basis = generators
-            if not basis.reduced:
-                basis = buchberger(list(basis.elements), basis.order)
-            order = basis.order
-            elems = list(basis.elements)
+            order, elems = generators.order, list(generators.elements)
         else:
             gens = [g for g in generators if not g.is_zero()]
             order = order or TermOrder("deglex")
@@ -80,7 +73,7 @@ class CanOracle:
         if n is None or p is None:
             raise ValueError("zero ideal oracle needs explicit n and p")
         validate_prime(p)
-        return cls._build(Polynomial, elems, order, n, p, memo)
+        return cls._build(Polynomial, elems, order, n, p)
 
     @classmethod
     def noncommutative(
@@ -89,7 +82,6 @@ class CanOracle:
         order: Optional[WordOrder] = None,
         *,
         ambiguity_bound: Optional[int] = None,
-        memo: bool = False,
     ) -> "CanOracle":
         """Oracle backed by a finite free-algebra basis of a proper ideal;
         the basis must pass overlap_check so canonical forms are well
@@ -103,12 +95,12 @@ class CanOracle:
             raise ValueError("basis generates the whole free algebra (a lead is 1)")
         if not overlap_check(elems, order, ambiguity_bound):
             raise ValueError("basis fails the overlap confluence check")
-        return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p, memo)
+        return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p)
 
     def fresh_copy(self) -> "CanOracle":
         """Same sealed ideal and order, ledger reset to zero."""
         return CanOracle._build(
-            self.__algebra, self.__elements, self.__order, self.__n, self.__p, self.__memo_on
+            self.__algebra, self.__elements, self.__order, self.__n, self.__p
         )
 
     # --- public ring data ----------------------------------------------
@@ -135,34 +127,18 @@ class CanOracle:
     def _term_poly(self, t):
         return self.__algebra(self.__n, self.__p, {t: 1})
 
-    def _tick(self, t) -> bool:
-        """Ledger bump; False when a memoized answer should be served free."""
-        if self.__memo_on and t in self.__memo:
-            return False
-        self.__count += 1
-        return True
-
     def can_term(self, t):
         """Canonical form of a single term; one ledger query."""
         t = self.__monoid.validate(t, self.__n)
-        if not self._tick(t):
-            return self.__memo[t]
-        res = normal_form(self._term_poly(t), self.__elements, self.__order)
-        if self.__memo_on:
-            self.__memo[t] = res
-        return res
+        self.__count += 1
+        return normal_form(self._term_poly(t), self.__elements, self.__order)
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
         t = self.__monoid.validate(t, self.__n)
-        if not self._tick(t):
-            return self.__memo[t] != self._term_poly(t)
+        self.__count += 1
         cofactor = self.__monoid.cofactor
-        hit = any(cofactor(lt, t) is not None for lt in self.__leads)
-        if self.__memo_on:
-            # keep the memo uniform: store the canonical form
-            self.__memo[t] = normal_form(self._term_poly(t), self.__elements, self.__order)
-        return hit
+        return any(cofactor(lt, t) is not None for lt in self.__leads)
 
     def can_poly(self, f):
         """Canonical form of f by linearity; |supp(f)| ledger queries."""

@@ -207,22 +207,15 @@ def parse_polynomial(text: str, n: int, p: int, cls: type = Polynomial) -> Polyn
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis with its order; reduced means monic, minimal and
-    with every tail term outside the leading-term ideal."""
+    """The reduced Groebner basis that buchberger returns, with its order:
+    monic, minimal and with every tail term outside the leading-term
+    ideal."""
 
     elements: tuple[Polynomial, ...]
     order: TermOrder
-    reduced: bool = False
 
     def leading_terms(self) -> tuple[Term, ...]:
         return tuple(g.leading_term(self.order) for g in self.elements)
-
-    @classmethod
-    def verified(cls, elements: Iterable[Polynomial], order: TermOrder) -> "GroebnerBasis":
-        elems = tuple(elements)
-        if not is_groebner(list(elems), order):
-            raise ValueError("pairwise S-polynomials do not all reduce to zero")
-        return cls(elems, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -356,7 +349,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     reduced = [
         normal_form(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)
     ]
-    return GroebnerBasis(tuple(reduced), order, reduced=True)
+    return GroebnerBasis(tuple(reduced), order)
 
 
 def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
@@ -371,16 +364,8 @@ def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
 
 
 def gb_degree(basis: GroebnerBasis) -> int:
-    """Largest total degree of a basis element (requires a reduced basis)."""
-    if not basis.reduced:
-        raise ValueError("degree bound is defined on the reduced basis")
+    """Largest total degree of a basis element."""
     return max(g.degree() for g in basis.elements)
-
-
-def lead_degree(basis: GroebnerBasis) -> int:
-    """Largest total degree of a leading term; equals gb_degree for
-    degree-compatible orders, can be smaller for lex."""
-    return max(sum(t) for t in basis.leading_terms())
 
 
 def content_lines(text: str) -> list[str]:

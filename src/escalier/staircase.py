@@ -88,74 +88,40 @@ def _one_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
 # --- two variables -----------------------------------------------------------
 
 
-def _walk_up_left(oracle, a: int, b: int, bound: int, out: set, binary: bool) -> None:
-    # invariant on entry: column a-1 is outside the leading ideal at
-    # heights <= b, so the next generator leftward sits strictly above b
+def _walk(member, a: int, b: int, bound: int, binary: bool) -> set[Term]:
+    """Generators up and to the left of the generator (a, b); the
+    down-right side is this walk on swapped coordinates."""
+    out: set[Term] = set()
+    # invariant: column a-1 is outside the leading ideal at heights <= b,
+    # so the next generator leftward sits strictly above b
     while a >= 1:
         col = a - 1
-        y = _scan_min_true(
-            lambda v: oracle.member_T((col, v)), b + 1, bound, binary
-        )
+        y = _scan_min_true(lambda v: member(col, v), b + 1, bound, binary)
         if y is None:
-            return
+            break
         b = y
-        a = _drop_min_true(lambda v: oracle.member_T((v, b)), col, binary)
+        a = _drop_min_true(lambda v: member(v, b), col, binary)
         out.add((a, b))
-
-
-def _walk_down_right(oracle, a: int, b: int, bound: int, out: set, binary: bool) -> None:
-    while b >= 1:
-        row = b - 1
-        x = _scan_min_true(
-            lambda v: oracle.member_T((v, row)), a + 1, bound, binary
-        )
-        if x is None:
-            return
-        a = x
-        b = _drop_min_true(lambda v: oracle.member_T((a, v)), row, binary)
-        out.add((a, b))
+    return out
 
 
 def _two_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
-    if oracle.member_T((0, 0)):
+    def member(x: int, y: int) -> bool:
+        return oracle.member_T((x, y))
+
+    if member(0, 0):
         return {(0, 0)}
-    j = _scan_min_true(lambda v: oracle.member_T((v, v)), 1, bound, binary)
+    j = _scan_min_true(lambda v: member(v, v), 1, bound, binary)
     if j is None:
         return set()
-
-    left_in = oracle.member_T((j - 1, j))
-    down_in = oracle.member_T((j, j - 1))
-    gens: set[Term] = set()
-
-    if not left_in and not down_in:
-        # concave vertex right on the diagonal
-        gens.add((j, j))
-        up_a, up_b = j, j
-        down_a, down_b = j, j
-    elif down_in and not left_in:
-        # diagonal pierces a vertical side: slide to its bottom corner
-        b = _drop_min_true(lambda v: oracle.member_T((j, v)), j - 1, binary)
-        gens.add((j, b))
-        up_a, up_b = j, j
-        down_a, down_b = j, b
-    elif left_in and not down_in:
-        # horizontal side: slide to its left corner
-        a = _drop_min_true(lambda v: oracle.member_T((v, j)), j - 1, binary)
-        gens.add((a, j))
-        up_a, up_b = a, j
-        down_a, down_b = j, j
-    else:
-        # interior hit: both neighbours sit on the border; find both corners
-        a = _drop_min_true(lambda v: oracle.member_T((v, j)), j - 1, binary)
-        gens.add((a, j))
-        b = _drop_min_true(lambda v: oracle.member_T((j, v)), j - 1, binary)
-        gens.add((j, b))
-        up_a, up_b = a, j
-        down_a, down_b = j, b
-
-    _walk_up_left(oracle, up_a, up_b, bound, gens, binary)
-    _walk_down_right(oracle, down_a, down_b, bound, gens, binary)
-    return gens
+    # from the first diagonal hit (j, j), slide left along row j and down
+    # column j to the corners of the sides the hit lies on
+    left_in, down_in = member(j - 1, j), member(j, j - 1)
+    a = _drop_min_true(lambda v: member(v, j), j - 1, binary) if left_in else j
+    b = _drop_min_true(lambda v: member(j, v), j - 1, binary) if down_in else j
+    up = _walk(member, a, j, bound, binary)
+    down = _walk(lambda x, y: member(y, x), b, j, bound, binary)
+    return minimal_terms({(a, j), (j, b)}) | up | {(x, y) for y, x in down}
 
 
 # --- n >= 3: corner splitting -----------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
@@ -58,6 +58,16 @@ def term_div(a: Term, b: Term) -> Term:
 def lcm(a: Term, b: Term) -> Term:
     _check_arity(a, b)
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def terms_of_degree(n: int, d: int) -> Iterator[Term]:
+    """Every term of total degree d in n variables, in
+    combinations_with_replacement order."""
+    for combo in combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 def minimal_terms(terms: Iterable[Term]) -> set[Term]:

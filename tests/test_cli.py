@@ -310,6 +310,31 @@ class TestInputValidation:
         assert run(argv + ["--bound", "-1"]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keygen", "--public-count", "0"],
+            ["keygen", "--noise-degree", "-1"],
+            ["keygen", "--message-terms", "-2"],
+            ["nc-probe", "--trials", "-1"],
+        ],
+    )
+    def test_bad_counts(self, argv, tmp_path, capsys, monkeypatch):
+        # refused before any work: a key or probe run would fail here
+        monkeypatch.setattr("escalier.crypto.keygen", None)
+        monkeypatch.setattr("escalier.crypto.nc_attack_probe", None)
+        ring, priv, pub = (tmp_path / name for name in ("key.ideal", "nc.free", "pub.free"))
+        ring.write_text(KEYRING)
+        priv.write_text(NC_PRIVATE)
+        pub.write_text(NC_PUBLIC)
+        if argv[0] == "keygen":
+            files = ["--ideal", str(ring), "--out-private", str(tmp_path / "priv.ideal")]
+            files += ["--out-public", str(tmp_path / "pub.key")]
+        else:
+            files = ["--private", str(priv), "--public", str(pub)]
+        assert run(argv + files) == 2
+        _one_error_line(capsys)
+
     @pytest.mark.parametrize("modulus", ["8", "-5", "0"])
     def test_bad_prime_override(self, modulus, ex51, capsys):
         argv = ["recon", "--ideal", str(ex51), "--bound", "4", "--p", modulus]

@@ -58,6 +58,16 @@ class TestKeygen:
         with pytest.raises(ValueError):
             keygen([poly("X1^2", p=7)], LEX, 2, 1, 2, random.Random(0))
 
+    @pytest.mark.parametrize("counts", [(0, 1, 4), (2, -1, 4), (2, 1, -2)])
+    def test_bad_counts_refused_before_any_work(self, counts, monkeypatch):
+        def no_work(*args):
+            raise RuntimeError("keygen started work on bad counts")
+
+        monkeypatch.setattr("escalier.crypto.buchberger", no_work)
+        monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
+        with pytest.raises(ValueError):
+            keygen([poly("X1^2 + X2", p=7)], DEGLEX, *counts, random.Random(0))
+
 
 def toy_keys_with_m5():
     gens = [poly("X1^2 + X2", p=7), poly("X2^2 + 1", p=7)]

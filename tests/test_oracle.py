@@ -119,15 +119,6 @@ class TestLedger:
         assert c.queries == 0 and o.queries == 1
         assert c.can_term((2, 0)) == o.can_term((2, 0))
 
-    def test_memo_skips_duplicates(self):
-        o = CanOracle.commutative(
-            [poly("X1^2 + X2"), poly("X2^2 + 1")], DEGLEX, memo=True
-        )
-        o.can_term((2, 0))
-        o.can_term((2, 0))
-        o.member_T((2, 0))
-        assert o.queries == 1
-
 
 class TestSealing:
     def test_no_obvious_private_surface(self):

@@ -4,12 +4,10 @@ import pytest
 
 from escalier.errors import ParseError
 from escalier.polynomials import (
-    GroebnerBasis,
     Polynomial,
     buchberger,
     gb_degree,
     is_groebner,
-    lead_degree,
     normal_form,
     parse_ideal_file,
     parse_polynomial,
@@ -135,7 +133,6 @@ class TestBuchberger:
         f = poly("X1^2 + X2")
         g = poly("X2^2 + 1")
         gb = buchberger([f, g], DEGLEX)
-        assert gb.reduced
         assert set(gb.elements) == {f, g}
         assert is_groebner(list(gb.elements), DEGLEX)
 
@@ -187,12 +184,6 @@ class TestIsGroebner:
         grown = buchberger([f, g], DEGLEX)
         assert set(grown.elements) != {f.monic(DEGLEX), g.monic(DEGLEX)}
 
-    def test_verified_constructor(self):
-        with pytest.raises(ValueError):
-            GroebnerBasis.verified(
-                [poly("X1^2 + X2"), poly("X1^3 + X1*X2 + 1")], DEGLEX
-            )
-
 
 class TestDegrees:
     def test_single(self):
@@ -206,15 +197,6 @@ class TestDegrees:
     def test_two_monomials(self):
         gb = buchberger([poly("X1^2*X2^4"), poly("X1^4*X2^3")], DEGLEX)
         assert gb_degree(gb) == 7
-
-    def test_lead_degree_matches_for_graded(self):
-        gb = buchberger([poly("X1^2 + X2"), poly("X2^3 + X1")], DEGLEX)
-        assert lead_degree(gb) == gb_degree(gb)
-
-    def test_requires_reduced(self):
-        gb = GroebnerBasis((poly("X1"),), DEGLEX, reduced=False)
-        with pytest.raises(ValueError):
-            gb_degree(gb)
 
 
 class TestText:

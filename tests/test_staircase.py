@@ -47,6 +47,15 @@ class TestTwoVariables:
         assert got == set(gens)
         assert o.queries < budget
 
+    @pytest.mark.parametrize(
+        "gens,bound,linear,binary",
+        [(EX51, 8, 23, 25), (EX52, 5, 12, 10), (EX53, 7, 18, 15)],
+    )
+    def test_pinned_query_counts(self, gens, bound, linear, binary):
+        for mode, expected in ((False, linear), (True, binary)):
+            res = reconstruct(monomial_oracle(gens, 2), 2, bound, binary=mode)
+            assert res.queries_used == expected
+
     def test_zero_ideal(self):
         assert reconstruct(zero_oracle(2), 2, 5).generators == set()
 

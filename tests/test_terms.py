@@ -15,6 +15,7 @@ from escalier.terms import (
     term_div,
     term_mul,
     term_to_text,
+    terms_of_degree,
     variable,
 )
 
@@ -38,6 +39,18 @@ def all_terms_of_degree(n, d):
     for head in range(d + 1):
         for rest in all_terms_of_degree(n - 1, d - head):
             yield (head,) + rest
+
+
+class TestTermsOfDegree:
+    def test_every_term_once(self):
+        for n in (1, 2, 3):
+            for d in range(5):
+                got = list(terms_of_degree(n, d))
+                assert sorted(got) == sorted(all_terms_of_degree(n, d))
+                assert len(set(got)) == len(got)
+
+    def test_combinations_order(self):
+        assert list(terms_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
 
 
 class TestCompare:
