@@ -1,0 +1,87 @@
+"""can_poly against its definition by linearity, in both algebras.
+
+The paper defines Can(f) as the sum of c * Can(t) over the support of f
+and charges |supp(f)| queries for it. These properties check, on small
+drawn rings under every term order and the word order, that can_poly
+returns that sum with that charge, and that a canonical form is its own
+canonical form.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from escalier.nc_polynomials import NcPolynomial
+from escalier.oracle import CanOracle
+from escalier.polynomials import Polynomial
+from escalier.terms import TermOrder
+from escalier.words import WordOrder
+
+PRIMES = st.sampled_from([2, 3, 7])
+TERM_ORDERS = st.sampled_from([TermOrder(kind) for kind in ("lex", "deglex", "degrevlex")])
+WORD_ORDERS = st.sampled_from([WordOrder(), WordOrder((2, 1))])
+
+
+def coefficient_maps(monomials, p, max_size):
+    return st.dictionaries(monomials, st.integers(min_value=1, max_value=p - 1), max_size=max_size)
+
+
+@st.composite
+def commutative_cases(draw):
+    """(oracle, f): the oracle of 0-3 generators in 1-3 variables."""
+    n, p, order = draw(st.integers(1, 3)), draw(PRIMES), draw(TERM_ORDERS)
+    terms = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    gens = draw(st.lists(coefficient_maps(terms, p, 3), max_size=3))
+    oracle = CanOracle.commutative(
+        [Polynomial(n, p, g) for g in gens], order, n=n, p=p
+    )
+    wide = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return oracle, Polynomial(n, p, draw(coefficient_maps(wide, p, 6)))
+
+
+@st.composite
+def free_cases(draw):
+    """(oracle, f): the oracle of 1-3 words or binomials over 1-2 letters
+    that pass the overlap check."""
+    n, p, order = draw(st.integers(1, 2)), draw(PRIMES), draw(WORD_ORDERS)
+    if order.precedence is not None and len(order.precedence) != n:
+        order = WordOrder()
+    words = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    basis = [
+        NcPolynomial(n, p, g)
+        for g in draw(st.lists(coefficient_maps(words, p, 2), min_size=1, max_size=3))
+    ]
+    try:
+        oracle = CanOracle.noncommutative(basis, order)
+    except ValueError:
+        assume(False)
+    return oracle, NcPolynomial(n, p, draw(coefficient_maps(words, p, 6)))
+
+
+def check_linear(oracle, f):
+    before = oracle.queries
+    got = oracle.can_poly(f)
+    charged = oracle.queries - before
+    assert charged == len(f.support())
+
+    before = oracle.queries
+    expected = type(f)(f.n, f.p)
+    for t, c in f.items():
+        expected = expected + oracle.can_term(t).scale(c)
+    assert oracle.queries - before == charged
+    assert got == expected
+
+    for t in f.support():
+        can = oracle.can_term(t)
+        assert oracle.can_poly(can) == can
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=commutative_cases())
+def test_can_poly_is_linear_in_the_ring(case):
+    check_linear(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=free_cases())
+def test_can_poly_is_linear_in_the_free_algebra(case):
+    check_linear(*case)

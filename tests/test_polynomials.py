@@ -3,6 +3,8 @@ import random
 import pytest
 
 from escalier.errors import ParseError
+from escalier.nc_polynomials import NcPolynomial
+from escalier.oracle import CanOracle
 from escalier.polynomials import (
     Polynomial,
     buchberger,
@@ -239,3 +241,38 @@ class TestIdealFile:
             parse_ideal_file("whatever n=2\nX1\n")
         with pytest.raises(ParseError):
             parse_ideal_file("ring n=2 p=10 order=lex\nX1\n")
+
+
+class TestBoundaryValidation:
+    """Public constructors and oracle entry points check every monomial;
+    arithmetic inside one ring builds its results without re-checking."""
+
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, -1), (-2, 0)])
+    def test_polynomial_refuses_bad_terms(self, bad):
+        with pytest.raises(ValueError):
+            Polynomial(2, P, {bad: 1})
+
+    @pytest.mark.parametrize("bad", [(0,), (3,), (1, 2, 3)])
+    def test_nc_polynomial_refuses_bad_letters(self, bad):
+        with pytest.raises(ValueError):
+            NcPolynomial(2, P, {bad: 1})
+
+    def test_oracle_entry_points_refuse_bad_monomials(self):
+        o = CanOracle.commutative([poly("X1^2 + X2")], DEGLEX)
+        one = Polynomial.constant(2, P, 1)
+        for ask in (o.can_term, o.member_T, lambda t: o.masked_can(t, [(one, one)])):
+            with pytest.raises(ValueError):
+                ask((1, -1))
+        with pytest.raises(ValueError):
+            o.can_poly(poly("X1", n=3))
+        with pytest.raises(ValueError):
+            o.can_poly(ncpoly("X1"))
+        assert o.queries == 0
+
+    def test_arithmetic_matches_a_validated_build(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            f, g = random_poly(rng, 2, p=7), random_poly(rng, 2, p=7)
+            for h in (f + g, f - g, -f, f.scale(3), f.multiply_term(5, (1, 2)), f * g):
+                assert h == Polynomial(2, 7, dict(h.items()))
+                assert all(0 < c < 7 for _, c in h.items())
