@@ -21,6 +21,7 @@ from .oracle import CanOracle
 from .peeling import covering_basis
 from .polynomials import (
     Polynomial,
+    buchberger,
     normal_form,
     parse_ideal_file,
     parse_polynomial,
@@ -114,9 +115,14 @@ def _cmd_forge(args) -> int:
 
 def _cmd_keygen(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+    basis = buchberger(polys, order)
+    try:
+        crypto.check_key_size(n, args.noise_degree, len(basis.elements), args.public_count)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     rng = random.Random(args.seed)
     keys = crypto.keygen(
-        polys, order, args.public_count, args.noise_degree, args.message_terms, rng
+        basis, order, args.public_count, args.noise_degree, args.message_terms, rng
     )
     Path(args.out_private).write_text(
         render_ideal_file(keys.basis.elements, keys.basis.order, n, p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from typing import Iterable, Optional, Union
 
 from .errors import ParseError
@@ -29,7 +30,7 @@ from .polynomials import (
     normal_form,
     parse_polynomial,
 )
-from .staircase import StaircaseResult, reconstruct
+from .staircase import _MAX_BOX_TERMS, StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
 from .words import WordOrder
 
@@ -43,6 +44,15 @@ def random_polynomial(
         if rng.random() < density:
             coeffs[t] = rng.randrange(1, p)
     return Polynomial(n, p, coeffs)
+
+
+def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int) -> None:
+    """Refuse a key whose noise terms would exceed _MAX_BOX_TERMS: each
+    public polynomial draws one random polynomial of degree noise_degree,
+    C(n + d, n) terms, per basis element."""
+    size = comb(n + noise_degree, n) * basis_size * count_public
+    if size > _MAX_BOX_TERMS:
+        raise ValueError(f"key noise of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ def keygen(
     if not order.degree_compatible:
         raise ValueError("key generation needs a degree-compatible order")
     n, p = basis.elements[0].n, basis.elements[0].p
+    check_key_size(n, noise_degree, len(basis.elements), count_public)
     leads = basis.leading_terms()
     if any(sum(t) == 0 for t in leads):
         raise ValueError("the ideal is the whole ring; nothing can be hidden")
@@ -322,6 +333,8 @@ def parse_public_key(text: str) -> PublicKey:
             terms.append(parse_term(ln[2:], n))
         else:
             raise ParseError(f"bad public key line: {ln!r}")
+    if not gens:
+        raise ParseError("public key has no generators")
     return PublicKey(
         n=n,
         p=p,
@@ -342,4 +355,7 @@ def parse_ciphertext(text: str) -> Ciphertext:
     if len(lines) != 2:
         raise ParseError("ciphertext file needs a header and one polynomial")
     n, p, cap = header(lines[0], "cipher", ("n", "p", "delta"))
-    return Ciphertext(poly=parse_polynomial(lines[1], n, p), degree_cap=cap)
+    poly = parse_polynomial(lines[1], n, p)
+    if poly.degree() > cap:
+        raise ParseError("ciphertext exceeds its declared degree cap")
+    return Ciphertext(poly=poly, degree_cap=cap)

@@ -9,7 +9,7 @@ are shared with the commutative ring. Files carry the header
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .polynomials import Polynomial, content_lines, header, normal_form, parse_polynomial
 from .words import Word, WordMonoid, WordOrder, subword_occurrences
@@ -30,36 +30,28 @@ class NcPolynomial(Polynomial):
 
     def sandwich(self, left: Word, right: Word) -> "NcPolynomial":
         """left * self * right for plain words."""
-        left, right = tuple(left), tuple(right)
-        return NcPolynomial(
+        validate = self.monoid.validate
+        left, right = validate(left, self.n), validate(right, self.n)
+        return self._ring(
             self.n, self.p, {left + w + right: c for w, c in self._coeffs.items()}
         )
 
 
-def overlap_check(
-    basis: list[NcPolynomial], order: WordOrder, length_bound: Optional[int] = None
-) -> bool:
+def overlap_check(basis: list[NcPolynomial], order: WordOrder) -> bool:
     """Diamond-lemma confluence test for a finite monic basis.
 
-    Every overlap and inclusion ambiguity between leading words of length
-    at most length_bound (default: all of them) must reduce to zero under
-    normal_form; then reduction modulo the basis computes canonical
-    forms.
+    Every overlap and inclusion ambiguity between leading words must
+    reduce to zero under normal_form; then reduction modulo the basis
+    computes canonical forms, and those are linear (Bergman 1978).
     """
     elems = [g for g in basis if not g.is_zero()]
     for g in elems:
         if g.leading_coefficient(order) != 1:
             raise ValueError("overlap check requires monic elements")
     leads = [g.leading_word(order) for g in elems]
-    if length_bound is not None:
-        keep = [i for i, w in enumerate(leads) if len(w) <= length_bound]
-    else:
-        keep = list(range(len(elems)))
 
-    for i in keep:
-        wi, gi = leads[i], elems[i]
-        for j in keep:
-            wj, gj = leads[j], elems[j]
+    for wi, gi in zip(leads, elems):
+        for wj, gj in zip(leads, elems):
             # overlaps: wi = a b, wj = b c with b nonempty, word = a b c
             for k in range(1, min(len(wi), len(wj))):
                 if wi[len(wi) - k :] != wj[:k]:
@@ -70,7 +62,7 @@ def overlap_check(
                 if not normal_form(s, elems, order).is_zero():
                     return False
             # inclusions: wi occurs inside wj
-            if i != j:
+            if gi is not gj:
                 for left, right in subword_occurrences(wi, wj):
                     s = gj - gi.sandwich(left, right)
                     if not normal_form(s, elems, order).is_zero():

@@ -6,6 +6,14 @@ through the query surface; reconstruction code is written against the
 member_T / can_term / can_poly / queries interface only. One oracle
 instance belongs to one session at a time (the ledger mutates); distinct
 instances are independent.
+
+The ledger keeps the paper's cost model: member_T and can_term cost one
+query each, and Can(f) costs |supp(f)|, one per term of f. The charge is
+a cost model, not the work done. The oracle only holds bases with unique
+normal forms (a reduced Groebner basis, or a free-algebra basis whose
+every ambiguity resolves), so reduction is linear: the normal form of f
+is the sum of c * Can(t) over the terms of f, and can_poly answers with
+that one reduction.
 """
 
 from __future__ import annotations
@@ -77,15 +85,11 @@ class CanOracle:
 
     @classmethod
     def noncommutative(
-        cls,
-        basis: Iterable[NcPolynomial],
-        order: Optional[WordOrder] = None,
-        *,
-        ambiguity_bound: Optional[int] = None,
+        cls, basis: Iterable[NcPolynomial], order: Optional[WordOrder] = None
     ) -> "CanOracle":
         """Oracle backed by a finite free-algebra basis of a proper ideal;
-        the basis must pass overlap_check so canonical forms are well
-        defined."""
+        the basis must pass the full overlap_check so canonical forms are
+        well defined."""
         order = order or WordOrder()
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
@@ -93,7 +97,7 @@ class CanOracle:
         elems = [g.monic(order) for g in elems]
         if any(not g.leading_word(order) for g in elems):
             raise ValueError("basis generates the whole free algebra (a lead is 1)")
-        if not overlap_check(elems, order, ambiguity_bound):
+        if not overlap_check(elems, order):
             raise ValueError("basis fails the overlap confluence check")
         return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p)
 
@@ -125,7 +129,8 @@ class CanOracle:
     # --- queries --------------------------------------------------------
 
     def _term_poly(self, t):
-        return self.__algebra(self.__n, self.__p, {t: 1})
+        """The monomial t, which the caller has validated."""
+        return self.__algebra._ring(self.__n, self.__p, {t: 1})
 
     def can_term(self, t):
         """Canonical form of a single term; one ledger query."""
@@ -141,15 +146,18 @@ class CanOracle:
         return any(cofactor(lt, t) is not None for lt in self.__leads)
 
     def can_poly(self, f):
-        """Canonical form of f by linearity; |supp(f)| ledger queries."""
+        """Canonical form of f; |supp(f)| ledger queries.
+
+        Can(f) is defined term by term, as the sum of c * can_term(t),
+        and charged that way. Normal forms over the oracle's basis are
+        unique, hence linear, so one reduction of f gives the same sum.
+        """
         if type(f) is not self.__algebra:
             raise ValueError(f"expected a {self.__algebra.__name__}")
         if f.n != self.__n or f.p != self.__p:
             raise ValueError("polynomial is not in the oracle's ring")
-        acc = self.__algebra(self.__n, self.__p)
-        for t, c in sorted(f.items()):
-            acc = acc + self.can_term(t).scale(c)
-        return acc
+        self.__count += len(f.items())
+        return normal_form(f, self.__elements, self.__order)
 
     def masked_can(self, t, decomposition):
         """Canonical form of t asked through a masking decomposition.

@@ -51,6 +51,18 @@ class Polynomial:
         self._lead = None
 
     @classmethod
+    def _ring(cls, n: int, p: int, coeffs: dict) -> "Polynomial":
+        """Trusted constructor for results whose monomials already live in
+        the ring (arithmetic, reduction): coefficients are reduced mod p
+        and zeros dropped, but no monomial is validated again."""
+        self = object.__new__(cls)
+        self.n = n
+        self.p = p
+        self._coeffs = {t: r for t, c in coeffs.items() if (r := c % p)}
+        self._lead = None
+        return self
+
+    @classmethod
     def zero(cls, n: int, p: int) -> "Polynomial":
         return cls(n, p)
 
@@ -90,24 +102,24 @@ class Polynomial:
         out = dict(self._coeffs)
         for t, c in other._coeffs.items():
             out[t] = out.get(t, 0) + c
-        return type(self)(self.n, self.p, out)
+        return self._ring(self.n, self.p, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._compatible(other)
         out = dict(self._coeffs)
         for t, c in other._coeffs.items():
             out[t] = out.get(t, 0) - c
-        return type(self)(self.n, self.p, out)
+        return self._ring(self.n, self.p, out)
 
     def __neg__(self) -> "Polynomial":
-        return type(self)(self.n, self.p, {t: -c for t, c in self._coeffs.items()})
+        return self._ring(self.n, self.p, {t: -c for t, c in self._coeffs.items()})
 
     def scale(self, c: int) -> "Polynomial":
-        return type(self)(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
+        return self._ring(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
 
     def multiply_term(self, coeff: int, t) -> "Polynomial":
-        t, mul = tuple(t), self.monoid.mul
-        return type(self)(
+        t, mul = self.monoid.validate(t, self.n), self.monoid.mul
+        return self._ring(
             self.n, self.p, {mul(s, t): v * coeff for s, v in self._coeffs.items()}
         )
 
@@ -121,7 +133,7 @@ class Polynomial:
             for t, ct in other._coeffs.items():
                 u = mul(s, t)
                 out[u] = out.get(u, 0) + cs * ct
-        return type(self)(self.n, self.p, out)
+        return self._ring(self.n, self.p, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -283,7 +295,7 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial
                 work[u] = v
             elif u in work:
                 del work[u]
-    return type(f)(f.n, p, out)
+    return f._ring(f.n, p, out)
 
 
 def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBasis:

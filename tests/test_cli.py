@@ -335,6 +335,32 @@ class TestInputValidation:
         assert run(argv + files) == 2
         _one_error_line(capsys)
 
+    def test_encrypt_with_generator_free_key(self, tmp_path, capsys):
+        pub = tmp_path / "pub.key"
+        pub.write_text("publickey n=2 p=32003 order=deglex dbound=1 delta=2\nt 1\nt X1\n")
+        argv = ["encrypt", "--public", str(pub), "--message", "3*X1 + 2"]
+        assert run(argv) == 2
+        _one_error_line(capsys)
+
+    def test_decrypt_cipher_over_its_cap(self, tmp_path, capsys):
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        cipher = tmp_path / "c.txt"
+        cipher.write_text("cipher n=2 p=32003 delta=1\nX1^3 + 2\n")
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
+        _one_error_line(capsys)
+
+    def test_keygen_oversized_noise(self, tmp_path, capsys, monkeypatch):
+        # refused before any noise is drawn
+        monkeypatch.setattr("escalier.crypto.random_polynomial", None)
+        ring = tmp_path / "key.ideal"
+        ring.write_text(KEYRING)
+        argv = ["keygen", "--ideal", str(ring), "--noise-degree", "5000", "--public-count", "1"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
+        assert run(argv) == 2
+        _one_error_line(capsys)
+        assert not (tmp_path / "pub").exists()
+
     @pytest.mark.parametrize("modulus", ["8", "-5", "0"])
     def test_bad_prime_override(self, modulus, ex51, capsys):
         argv = ["recon", "--ideal", str(ex51), "--bound", "4", "--p", modulus]

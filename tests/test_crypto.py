@@ -15,6 +15,7 @@ from escalier.crypto import (
     render_ciphertext,
     render_public_key,
 )
+from escalier.errors import ParseError
 from escalier.forge import build_counterexample
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
@@ -67,6 +68,23 @@ class TestKeygen:
         monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
         with pytest.raises(ValueError):
             keygen([poly("X1^2 + X2", p=7)], DEGLEX, *counts, random.Random(0))
+
+    def test_oversized_noise_refused_before_any_noise(self, monkeypatch):
+        def no_work(*args):
+            raise RuntimeError("keygen drew noise for an oversized key")
+
+        monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            keygen([poly("X1^2 + X2", p=7)], DEGLEX, 1, 5000, 4, random.Random(0))
+
+    def test_key_size_limit_edge(self):
+        from escalier.crypto import check_key_size
+
+        # two variables, a basis of two: C(1000, 2) * 2 = 999,000 terms pass,
+        # C(1001, 2) * 2 = 1,001,000 do not
+        check_key_size(2, 998, 2, 1)
+        with pytest.raises(ValueError):
+            check_key_size(2, 999, 2, 1)
 
 
 def toy_keys_with_m5():
@@ -219,3 +237,11 @@ class TestKeyFiles:
         c = encrypt(keys.public, random_message(keys.public, rng), rng)
         back = parse_ciphertext(render_ciphertext(c, 2, 7))
         assert back == c
+
+    def test_public_key_without_generators(self):
+        with pytest.raises(ParseError):
+            parse_public_key("publickey n=2 p=7 order=deglex dbound=1 delta=2\nt 1\nt X1\n")
+
+    def test_ciphertext_over_its_cap(self):
+        with pytest.raises(ParseError):
+            parse_ciphertext("cipher n=2 p=7 delta=1\nX1^3 + 1\n")

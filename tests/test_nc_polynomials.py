@@ -127,10 +127,6 @@ class TestOverlapCheck:
         with pytest.raises(ValueError):
             overlap_check([ncpoly("2*X1*X2")], ORDER)
 
-    def test_length_bound_filters(self):
-        bad = ncpoly("X1*X1 - X2")
-        assert overlap_check([bad], ORDER, length_bound=1)
-
 
 class TestText:
     def test_roundtrip(self):
