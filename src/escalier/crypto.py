@@ -98,7 +98,9 @@ def keygen(
     order-smallest normal terms as the message alphabet.
 
     Restricted to degree-compatible orders: the published degree cap and
-    the normal-term enumeration both ride on total degree.
+    the normal-term enumeration both ride on total degree. A key whose
+    noise would be too large (check_key_size) is refused before any noise
+    is drawn.
     """
     if count_public < 1 or noise_degree < 0 or message_terms < 0:
         raise ValueError(

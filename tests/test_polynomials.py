@@ -257,6 +257,12 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError):
             NcPolynomial(2, P, {bad: 1})
 
+    def test_caller_factors_are_checked(self):
+        with pytest.raises(ValueError):
+            poly("X1 + X2").multiply_term(1, (0, -1))
+        with pytest.raises(ValueError):
+            ncpoly("X1*X2").sandwich((3,), ())
+
     def test_oracle_entry_points_refuse_bad_monomials(self):
         o = CanOracle.commutative([poly("X1^2 + X2")], DEGLEX)
         one = Polynomial.constant(2, P, 1)
