@@ -35,13 +35,12 @@ from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_
 from .words import WordOrder
 
 
-def random_polynomial(
-    n: int, p: int, max_degree: int, rng: random.Random, density: float = 0.6
-) -> Polynomial:
-    """Random polynomial of total degree at most max_degree; may be zero."""
+def random_polynomial(n: int, p: int, max_degree: int, rng: random.Random) -> Polynomial:
+    """Random polynomial of total degree at most max_degree, each term
+    present with probability 0.6; may be zero."""
     coeffs = {}
     for t in chain.from_iterable(terms_of_degree(n, d) for d in range(max_degree + 1)):
-        if rng.random() < density:
+        if rng.random() < 0.6:
             coeffs[t] = rng.randrange(1, p)
     return Polynomial(n, p, coeffs)
 
@@ -175,35 +174,21 @@ def decrypt(oracle: CanOracle, cipher: Ciphertext) -> Polynomial:
     return oracle.can_poly(cipher.poly)
 
 
-def recover_basis_element(
-    oracle: CanOracle,
-    lead: Term,
-    masking=None,
-    public: Optional[PublicKey] = None,
-    rng: Optional[random.Random] = None,
-) -> Polynomial:
+def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polynomial:
     """Chosen-ciphertext recovery of the reduced-basis element with the
     given leading term.
 
-    The fake ciphertext is the bare term, optionally buried under public
-    ideal noise; decryption returns its canonical form either way, so the
-    element is the term minus the answer. A masking decomposition asks
-    the same question split across several products and sums the answers;
-    the result is identical.
+    The fake ciphertext is the bare term; decryption returns its canonical
+    form, so the element is the term minus the answer. A masking
+    decomposition asks the same question split across several products
+    and sums the answers; the result is identical.
     """
     if not oracle.member_T(lead):
         raise ValueError("term is not a leading term of the hidden ideal")
     if masking is not None:
         can = oracle.masked_can(lead, masking)
     else:
-        fake = Polynomial.term(lead, oracle.p)
-        if public is not None:
-            rng = rng or random.Random(0)
-            for g in public.generators:
-                fake = fake + random_polynomial(
-                    public.n, public.p, public.noise_degree, rng
-                ) * g
-        can = oracle.can_poly(fake)
+        can = oracle.can_poly(Polynomial.term(lead, oracle.p))
     return Polynomial.term(lead, oracle.p) - can
 
 

@@ -13,7 +13,7 @@ shifted ideal's staircase instead of the full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .oracle import CanOracle
 from .polynomials import (
@@ -147,13 +147,10 @@ class BoundDemo:
     queries_big: int
 
 
-def demonstrate_bound_necessity(
-    pair: ForgedPair, bound_small: Optional[int] = None, bound_big: Optional[int] = None
-) -> BoundDemo:
-    """Run the reconstruction against the extended ideal's oracle at both
-    bounds and report what each returns."""
-    small = pair.agree_degree if bound_small is None else bound_small
-    big = pair.agree_degree + 1 if bound_big is None else bound_big
+def demonstrate_bound_necessity(pair: ForgedPair) -> BoundDemo:
+    """Run the reconstruction against the extended ideal's oracle at the
+    agreement degree and one above it, and report what each returns."""
+    small, big = pair.agree_degree, pair.agree_degree + 1
 
     res_small = reconstruct(pair.extended_oracle(), pair.n, small)
     res_big = reconstruct(pair.extended_oracle(), pair.n, big)

@@ -22,8 +22,8 @@ class NcPolynomial(Polynomial):
     monoid = WordMonoid
 
     @classmethod
-    def term(cls, w: Word, n: int, p: int, coeff: int = 1) -> "NcPolynomial":
-        return cls(n, p, {tuple(w): coeff})
+    def term(cls, w: Word, n: int, p: int) -> "NcPolynomial":
+        return cls(n, p, {tuple(w): 1})
 
     def leading_word(self, order: WordOrder) -> Word:
         return self.leading_term(order)

@@ -84,13 +84,11 @@ class CanOracle:
         return cls._build(Polynomial, elems, order, n, p)
 
     @classmethod
-    def noncommutative(
-        cls, basis: Iterable[NcPolynomial], order: Optional[WordOrder] = None
-    ) -> "CanOracle":
-        """Oracle backed by a finite free-algebra basis of a proper ideal;
-        the basis must pass the full overlap_check so canonical forms are
-        well defined."""
-        order = order or WordOrder()
+    def noncommutative(cls, basis: Iterable[NcPolynomial]) -> "CanOracle":
+        """Oracle backed by a finite free-algebra basis of a proper ideal
+        under the word order; the basis must pass the full overlap_check
+        so canonical forms are well defined."""
+        order = WordOrder()
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
             raise ValueError("free-algebra oracle needs a nonempty basis")

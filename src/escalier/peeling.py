@@ -74,12 +74,16 @@ def covering_basis(
     element for it. Full tail reduction keeps every remaining support word
     free of known leading words, so each peel lands on a fresh generator;
     support word lengths never grow, so the rounds terminate.
+
+    The rounds spend membership queries only on candidate words of one
+    residual at a time, and no query checks the public set up front. A
+    residual modulo part of the hidden basis lies in the ideal exactly
+    when its public member does, and a nonzero ideal element has its
+    leading word inside. That word is a longest support word, so it is
+    always a candidate: a nonzero residual with no candidate inside
+    proves its member outside the ideal, and raises ValueError.
     """
     order = WordOrder()
-    for g in public_gens:
-        if not oracle.can_poly(g).is_zero():
-            raise ValueError("public set inconsistent with oracle: element outside the ideal")
-
     basis: list[NcPolynomial] = []
     leads: set[Word] = set()
     rounds = 0
@@ -89,20 +93,9 @@ def covering_basis(
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
             break
-        start = None
-        for w in candidate_terms(target):
-            if oracle.member_T(w):
-                start = w
-                break
+        start = next((w for w in candidate_terms(target) if oracle.member_T(w)), None)
         if start is None:
-            # the leading word itself is always inside; scan the rest of
-            # the support as a fallback
-            for w in sorted(target.support(), key=order.key):
-                if oracle.member_T(w):
-                    start = w
-                    break
-        if start is None:
-            raise RuntimeError("no support word lies in the leading-word ideal")
+            raise ValueError("public set inconsistent with oracle: element outside the ideal")
         w = peel(oracle, start)
         if w in leads:
             raise RuntimeError("peeled a generator that was already reduced away")

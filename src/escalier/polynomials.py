@@ -67,8 +67,8 @@ class Polynomial:
         return cls(n, p)
 
     @classmethod
-    def term(cls, t: Term, p: int, coeff: int = 1) -> "Polynomial":
-        return cls(len(t), p, {tuple(t): coeff})
+    def term(cls, t: Term, p: int) -> "Polynomial":
+        return cls(len(t), p, {tuple(t): 1})
 
     @classmethod
     def constant(cls, n: int, p: int, c: int) -> "Polynomial":
@@ -389,7 +389,8 @@ def content_lines(text: str) -> list[str]:
 def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
     """Values of a header line ``<kind> <field>=<value> ...`` carrying
     exactly the given fields, in that order. Every value is a nonnegative
-    integer except order, which names a term order; p must be prime."""
+    integer except order, which names a term order; n must be at least 1
+    and p must be prime."""
     parts = line.split()
     pairs = [part.partition("=") for part in parts[1:]]
     if parts[:1] != [kind] or [(k, eq) for k, eq, _ in pairs] != [(f, "=") for f in fields]:
@@ -398,6 +399,8 @@ def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
     for name, _, value in pairs:
         if name != "order" and not value.isdecimal():
             raise ParseError(f"bad {kind} header: {line!r}")
+        if name == "n" and int(value) < 1:
+            raise ParseError(f"{kind} header needs at least one variable, got n={value}")
         try:
             if name == "order":
                 values.append(TermOrder(value))

@@ -2,7 +2,8 @@
 
 A term X1^a1 * ... * Xn^an is a plain tuple of n nonnegative ints; entry
 i-1 holds the exponent of Xi. Variable indices are 1-based everywhere,
-matching the X1..Xn naming of the text grammar. All values are immutable
+matching the X1..Xn naming of the text grammar, and every term order
+ranks the variables X1 < X2 < ... < Xn. All values are immutable
 and all operations are pure, so they are safe to share across threads.
 TermMonoid packages the operations a polynomial ring over terms needs.
 """
@@ -84,46 +85,30 @@ def minimal_terms(terms: Iterable[Term]) -> set[Term]:
 class TermOrder:
     """A total noetherian semigroup order on terms of equal arity.
 
-    kind is one of lex, deglex, degrevlex. precedence lists the variables
-    from smallest to largest; the default is X1 < X2 < ... < Xn. Orders
-    compare via sort keys, so leading-term extraction is a plain max().
+    kind is one of lex, deglex, degrevlex; the variables are ordered
+    X1 < X2 < ... < Xn under every kind. Orders compare via sort keys, so
+    leading-term extraction is a plain max().
     """
 
     kind: str = "deglex"
-    precedence: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ORDER_KINDS:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.precedence is not None:
-            prec = tuple(self.precedence)
-            if sorted(prec) != list(range(1, len(prec) + 1)):
-                raise ValueError("precedence must be a permutation of 1..n")
-            object.__setattr__(self, "precedence", prec)
 
     @property
     def degree_compatible(self) -> bool:
         return self.kind in ("deglex", "degrevlex")
 
-    def _prec(self, n: int) -> tuple[int, ...]:
-        if self.precedence is None:
-            return tuple(range(1, n + 1))
-        if len(self.precedence) != n:
-            raise ValueError(
-                f"order is fixed to {len(self.precedence)} variables, got a term in {n}"
-            )
-        return self.precedence
-
     def key(self, t: Term):
         """Sort key: k(a) < k(b) iff a precedes b."""
-        prec = self._prec(len(t))
         if self.kind == "lex":
-            return tuple(t[v - 1] for v in reversed(prec))
+            return t[::-1]
         if self.kind == "deglex":
-            return (sum(t), tuple(t[v - 1] for v in reversed(prec)))
+            return (sum(t), t[::-1])
         # degrevlex: graded; ties go to the term with the larger exponent
         # at the earliest small variable.
-        return (sum(t), tuple(-t[v - 1] for v in prec))
+        return (sum(t), tuple(-e for e in t))
 
 
 @dataclass(frozen=True)
@@ -144,14 +129,10 @@ class Box:
         return (self.bound + 1) ** self.n
 
 
-def box_enumerate(box: Box, order: Optional[TermOrder] = None) -> Iterator[Term]:
-    """Yield each box term once: graded, ties broken by order (default deglex)."""
-    order = order or TermOrder("deglex")
-    for t in sorted(
-        product(range(box.bound + 1), repeat=box.n),
-        key=lambda t: (sum(t), order.key(t)),
-    ):
-        yield t
+def box_enumerate(box: Box) -> Iterator[Term]:
+    """Yield each box term once, in deglex order."""
+    terms = product(range(box.bound + 1), repeat=box.n)
+    yield from sorted(terms, key=TermOrder("deglex").key)
 
 
 _FACTOR = re.compile(r"^X(\d+)(?:\^(\d+))?$")

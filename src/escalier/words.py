@@ -2,9 +2,10 @@
 the word monoid.
 
 A word is a plain tuple of 1-based variable indices; the empty tuple is
-the term 1. Validity of the indices against an alphabet size is enforced
-at the polynomial and oracle boundaries, where n is known. WordMonoid
-packages the operations a free algebra over words needs.
+the term 1. The one word order ranks the letters X1 < X2 < ... < Xn.
+Validity of the indices against an alphabet size is enforced at the
+polynomial and oracle boundaries, where n is known. WordMonoid packages
+the operations a free algebra over words needs.
 """
 
 from __future__ import annotations
@@ -39,31 +40,13 @@ def is_factor(pattern: Word, w: Word) -> bool:
 
 @dataclass(frozen=True)
 class WordOrder:
-    """Length first, then leftmost-letter comparison by variable precedence.
+    """Length first, then leftmost-letter comparison with X1 < X2 < ... < Xn.
 
-    Total, noetherian and compatible with two-sided multiplication. The
-    default precedence is X1 < X2 < ... < Xn.
+    Total, noetherian and compatible with two-sided multiplication.
     """
 
-    precedence: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.precedence is not None:
-            prec = tuple(self.precedence)
-            if sorted(prec) != list(range(1, len(prec) + 1)):
-                raise ValueError("precedence must be a permutation of 1..n")
-            object.__setattr__(self, "precedence", prec)
-
-    def _rank(self, letter: int) -> int:
-        if self.precedence is None:
-            return letter
-        try:
-            return self.precedence.index(letter) + 1
-        except ValueError:
-            raise ValueError(f"letter X{letter} outside the order's alphabet") from None
-
     def key(self, w: Word):
-        return (len(w), tuple(self._rank(x) for x in w))
+        return (len(w), w)
 
 
 _LETTER = re.compile(r"^X(\d+)$")

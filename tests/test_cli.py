@@ -397,6 +397,30 @@ class TestInputValidation:
         assert run(argv + bound) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recon", "--ideal", "ring", "--bound", "2"],
+            ["bench-queries", "--ideal", "ring", "--bound", "2"],
+            ["verify-gb", "--ideal", "ring"],
+            ["verify-gb", "--ideal", "free"],
+            ["nc-recon", "--ideal", "free", "--public", "free"],
+            ["encrypt", "--public", "pub", "--message", "3"],
+            ["decrypt", "--private", "ring", "--cipher", "cipher"],
+        ],
+    )
+    def test_zero_variables(self, argv, tmp_path, capsys):
+        files = {
+            "ring": "ring n=0 p=7 order=deglex\n",
+            "free": "free n=0 p=7\n",
+            "pub": "publickey n=0 p=7 order=deglex dbound=1 delta=2\ng 1\n",
+            "cipher": "cipher n=0 p=7 delta=0\n3\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run([str(tmp_path / a) if a in files else a for a in argv]) == 2
+        _one_error_line(capsys)
+
     def test_free_unit_ideal_exit_1(self, tmp_path, capsys):
         priv = tmp_path / "unit.free"
         priv.write_text("free n=2 p=32003\n1\n")

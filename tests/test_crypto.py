@@ -145,13 +145,6 @@ class TestRecovery:
         got = recover_basis_element(keys.oracle(), (2, 0))
         assert got == poly("X1^2 + X2", p=7)
 
-    def test_with_public_noise(self):
-        keys = toy_keys()
-        got = recover_basis_element(
-            keys.oracle(), (2, 0), public=keys.public, rng=random.Random(3)
-        )
-        assert got == poly("X1^2 + X2", p=7)
-
     def test_every_element_masked_and_unmasked(self):
         keys = toy_keys()
         one = Polynomial.constant(2, 7, 1)

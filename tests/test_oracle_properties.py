@@ -14,11 +14,9 @@ from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
 from escalier.polynomials import Polynomial
 from escalier.terms import TermOrder
-from escalier.words import WordOrder
 
 PRIMES = st.sampled_from([2, 3, 7])
 TERM_ORDERS = st.sampled_from([TermOrder(kind) for kind in ("lex", "deglex", "degrevlex")])
-WORD_ORDERS = st.sampled_from([WordOrder(), WordOrder((2, 1))])
 
 
 def coefficient_maps(monomials, p, max_size):
@@ -42,16 +40,14 @@ def commutative_cases(draw):
 def free_cases(draw):
     """(oracle, f): the oracle of 1-3 words or binomials over 1-2 letters
     that pass the overlap check."""
-    n, p, order = draw(st.integers(1, 2)), draw(PRIMES), draw(WORD_ORDERS)
-    if order.precedence is not None and len(order.precedence) != n:
-        order = WordOrder()
+    n, p = draw(st.integers(1, 2)), draw(PRIMES)
     words = st.lists(st.integers(1, n), max_size=3).map(tuple)
     basis = [
         NcPolynomial(n, p, g)
         for g in draw(st.lists(coefficient_maps(words, p, 2), min_size=1, max_size=3))
     ]
     try:
-        oracle = CanOracle.noncommutative(basis, order)
+        oracle = CanOracle.noncommutative(basis)
     except ValueError:
         assume(False)
     return oracle, NcPolynomial(n, p, draw(coefficient_maps(words, p, 6)))

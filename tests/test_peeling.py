@@ -36,9 +36,6 @@ class _Forgetful:
     def member_T(self, w):
         return self.inner.member_T(w)
 
-    def can_poly(self, f):
-        return self.inner.can_poly(f)
-
     def can_term(self, w):
         return NcPolynomial.term(w, self.n, self.p)
 
@@ -125,6 +122,15 @@ class TestCoveringBasis:
         assert len(trace) == 2
         assert all(line.startswith("round ") for line in trace)
 
+    def test_queries_are_the_rounds_alone(self):
+        # round 1 finds X2*X1 inside (1 query), peels it (3) and asks its
+        # element (1); round 2 does the same for X1*X1*X2*X2 (1 + 5 + 1);
+        # no query checks the public member up front
+        o = nc_oracle(ncpoly("X1*X2"), ncpoly("X2*X1"))
+        g = NcPolynomial(2, P, {(1, 1, 2, 2): 1, (2, 1): 1})
+        covering_basis(o, [g])
+        assert o.queries == 12
+
     def test_contract_on_random_instances(self):
         rng = random.Random(1)
         private = [ncpoly("X1*X2"), ncpoly("X2*X2*X1")]
@@ -169,3 +175,9 @@ class TestCoveringBasis:
         o = nc_oracle(ncpoly("X1*X2"))
         with pytest.raises(ValueError):
             covering_basis(o, [ncpoly("X2*X1 + 1")])
+
+    def test_rejects_foreign_polynomial_with_an_inside_candidate(self):
+        # X1*X2 is inside and is peeled first; the residual X2*X1 is not
+        o = nc_oracle(ncpoly("X1*X2"))
+        with pytest.raises(ValueError):
+            covering_basis(o, [ncpoly("X1*X2 + X2*X1")])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from escalier.errors import ParseError
 from escalier.oracle import CanOracle
 from escalier.polynomials import buchberger
 from escalier.staircase import (
@@ -207,3 +208,7 @@ class TestSerialization:
     def test_empty_roundtrip(self):
         res = reconstruct(zero_oracle(2), 2, 3)
         assert parse_result(render_result(res)) == res
+
+    def test_zero_variables_refused(self):
+        with pytest.raises(ParseError):
+            parse_result("generators k=0 D=2 n=0 p=7\nbasis\nqueries 1\n")

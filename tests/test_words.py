@@ -82,10 +82,6 @@ class TestOrder:
         assert compare(ORDER, (2,), (1, 1)) == -1
         assert compare(ORDER, (1, 2), (2, 1)) == -1
 
-    def test_precedence(self):
-        rev = WordOrder(precedence=(2, 1))
-        assert compare(rev, (2,), (1,)) == -1
-
 
 class TestText:
     def test_render(self):
