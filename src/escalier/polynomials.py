@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import ParseError
 from .field import inv_mod, validate_prime
-from .terms import Term, TermMonoid, TermOrder, divides, lcm, term_div, term_mul
+from .terms import Term, TermMonoid, TermOrder, divides, lcm, minimal_terms, term_div, term_mul
 
 
 class Polynomial:
@@ -311,11 +311,21 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     has coprime leads. Elements whose lead lt(h) divides form no further
     pairs but still reduce. The minimal basis is interreduced in one
     pass: its leads are fixed, so each remainder is the reduced element.
+
+    The generators must share one ring. Monomial generators form no
+    pairs: the reduced basis of a monomial ideal is its minimal
+    monomials, monic, in the same ascending order.
     """
-    gens = [g.monic(order) for g in generators if not g.is_zero()]
+    gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("cannot complete a basis from zero generators")
-    key = order.key
+    key, f = order.key, gens[0]
+    for g in gens:
+        f._compatible(g)
+    if all(len(g._coeffs) == 1 for g in gens):
+        least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=key)
+        return GroebnerBasis(tuple(f._ring(f.n, f.p, {t: 1}) for t in least), order)
+    gens = [g.monic(order) for g in gens]
     basis: list[Polynomial] = []
     leads: list[Term] = []
     alive: list[int] = []

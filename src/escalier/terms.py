@@ -6,6 +6,10 @@ matching the X1..Xn naming of the text grammar, and every term order
 ranks the variables X1 < X2 < ... < Xn. All values are immutable
 and all operations are pure, so they are safe to share across threads.
 TermMonoid packages the operations a polynomial ring over terms needs.
+
+The componentwise primitives are C-level ``map`` kernels over ``operator``
+functions; the public ones (divides, lcm, term_mul, term_div) still check
+arity, since ``map``, like ``zip``, would silently truncate.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
@@ -39,26 +44,26 @@ def degree(t: Term) -> int:
 
 def term_mul(a: Term, b: Term) -> Term:
     _check_arity(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def divides(a: Term, b: Term) -> bool:
     """True iff a divides b componentwise."""
     _check_arity(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def term_div(a: Term, b: Term) -> Term:
     """Exact quotient a / b; raises when b does not divide a."""
     _check_arity(a, b)
-    if not all(y <= x for x, y in zip(a, b)):
+    if not all(map(le, b, a)):
         raise ValueError(f"{term_to_text(b)} does not divide {term_to_text(a)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def lcm(a: Term, b: Term) -> Term:
     _check_arity(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
@@ -108,7 +113,7 @@ class TermOrder:
             return (sum(t), t[::-1])
         # degrevlex: graded; ties go to the term with the larger exponent
         # at the earliest small variable.
-        return (sum(t), tuple(-e for e in t))
+        return (sum(t), tuple(map(neg, t)))
 
 
 @dataclass(frozen=True)
@@ -189,17 +194,17 @@ class TermMonoid:
     @staticmethod
     def validate(t, n: int) -> Term:
         t = tuple(t)
-        if len(t) != n or any(e < 0 for e in t):
+        if len(t) != n or any(type(e) is not int or e < 0 for e in t):
             raise ValueError(f"term {t} does not live in {n} variables")
         return t
 
     @staticmethod
     def cofactor(lead: Term, t: Term) -> Optional[Term]:
         """t / lead, or None when lead does not divide t."""
-        if all(x <= y for x, y in zip(lead, t)):
-            return tuple(y - x for x, y in zip(lead, t))
+        if all(map(le, lead, t)):
+            return tuple(map(sub, t, lead))
         return None
 
     @staticmethod
     def apply(q: Term, s: Term) -> Term:
-        return tuple(x + y for x, y in zip(q, s))
+        return tuple(map(add, q, s))

@@ -98,7 +98,7 @@ class WordMonoid:
     @staticmethod
     def validate(w, n: int) -> Word:
         w = tuple(w)
-        if any(not 1 <= x <= n for x in w):
+        if any(type(x) is not int or not 1 <= x <= n for x in w):
             raise ValueError(f"word {w} uses letters outside X1..X{n}")
         return w
 

@@ -19,7 +19,7 @@ from escalier.polynomials import (
 from escalier.terms import TermOrder, lcm
 from escalier.words import WordOrder
 
-from helpers import DEGLEX, LEX, P, compare, ncpoly, poly, random_poly
+from helpers import DEGLEX, DEGREVLEX, LEX, P, compare, ncpoly, poly, random_poly
 
 
 class TestLeadingData:
@@ -137,9 +137,21 @@ class TestBuchberger:
         assert is_groebner(list(gb.elements), DEGLEX)
 
     def test_monomial_staircase_fixed(self):
-        gens = [poly(t) for t in ("X1^2*X2^2", "X1*X2^3", "X1^4*X2", "X2^8")]
-        gb = buchberger(gens, DEGLEX)
-        assert set(gb.elements) == set(gens)
+        minimal = [(2, 2), (1, 3), (4, 1), (0, 8)]
+        # plus a redundant multiple and a duplicate with another coefficient
+        gens = [Polynomial.term(t, P) for t in minimal] + [poly("X1^5*X2^2"), poly("7*X2^8")]
+        for order in (LEX, DEGLEX, DEGREVLEX):
+            want = tuple(Polynomial.term(t, P) for t in sorted(minimal, key=order.key))
+            assert buchberger(gens, order).elements == want
+            assert buchberger(gens + [poly("3")], order).elements == (poly("1"),)
+
+    def test_generators_from_different_rings_refused(self):
+        # coprime leads form no pair, so only an up-front check sees the rings
+        for pair in (("X1", "X2"), ("X1 + 1", "X2 + 1")):
+            with pytest.raises(ValueError, match="different rings"):
+                buchberger([poly(pair[0], p=7), poly(pair[1], p=11)], DEGLEX)
+        with pytest.raises(ValueError, match="different rings"):
+            buchberger([poly("X1"), poly("X2", n=3)], DEGLEX)
 
     def test_redundant_generator_dropped(self):
         f = poly("X1^2 + X2 + 1")
@@ -245,12 +257,14 @@ class TestBoundaryValidation:
     """Public constructors and oracle entry points check every monomial;
     arithmetic inside one ring builds its results without re-checking."""
 
-    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, -1), (-2, 0)])
+    @pytest.mark.parametrize(
+        "bad", [(1,), (1, 2, 3), (1, -1), (-2, 0), (1.5, 0), (2.0, 0), (True, 0), ("1", 0)]
+    )
     def test_polynomial_refuses_bad_terms(self, bad):
         with pytest.raises(ValueError):
             Polynomial(2, P, {bad: 1})
 
-    @pytest.mark.parametrize("bad", [(0,), (3,), (1, 2, 3)])
+    @pytest.mark.parametrize("bad", [(0,), (3,), (1, 2, 3), (1.5,), (2.0,), (True,), ("1",)])
     def test_nc_polynomial_refuses_bad_letters(self, bad):
         with pytest.raises(ValueError):
             NcPolynomial(2, P, {bad: 1})
@@ -265,8 +279,15 @@ class TestBoundaryValidation:
         o = CanOracle.commutative([poly("X1^2 + X2")], DEGLEX)
         one = Polynomial.constant(2, P, 1)
         for ask in (o.can_term, o.member_T, lambda t: o.masked_can(t, [(one, one)])):
-            with pytest.raises(ValueError):
-                ask((1, -1))
+            for bad in ((1, -1), (2.5, 0), (2.0, 0), (True, 1)):
+                with pytest.raises(ValueError):
+                    ask(bad)
+        nc = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])
+        for ask in (nc.can_term, nc.member_T):
+            for bad in ((1.5,), (True, 2)):
+                with pytest.raises(ValueError):
+                    ask(bad)
+        assert nc.queries == 0
         with pytest.raises(ValueError):
             o.can_poly(poly("X1", n=3))
         with pytest.raises(ValueError):

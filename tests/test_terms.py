@@ -5,6 +5,7 @@ import pytest
 from escalier.errors import ParseError
 from escalier.terms import (
     Box,
+    TermMonoid,
     TermOrder,
     box_enumerate,
     degree,
@@ -216,3 +217,40 @@ def test_minimal_terms():
         (4, 1),
         (0, 8),
     }
+
+
+class TestKernels:
+    """The map kernels against their componentwise definitions."""
+
+    @pytest.mark.parametrize("op", [divides, lcm, term_mul, term_div])
+    def test_arity_mismatch_raises(self, op):
+        for a, b in (((1, 0), (1, 0, 0)), ((0, 0, 2), (0, 0)), ((), (1,))):
+            with pytest.raises(ValueError, match="variable counts differ"):
+                op(a, b)
+
+    def test_kernels_match_definitions(self):
+        rng = random.Random(6)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            a, b = random_term(rng, n, 3), random_term(rng, n, 3)
+            pairs = list(zip(a, b))
+            divisible = all(x <= y for x, y in pairs)
+            assert divides(a, b) == divisible
+            assert lcm(a, b) == tuple(max(x, y) for x, y in pairs)
+            assert term_mul(a, b) == tuple(x + y for x, y in pairs)
+            quotient = tuple(y - x for x, y in pairs)
+            assert TermMonoid.cofactor(a, b) == (quotient if divisible else None)
+            assert TermMonoid.apply(a, b) == term_mul(a, b)
+            if divisible:
+                assert term_div(b, a) == quotient
+            else:
+                with pytest.raises(ValueError):
+                    term_div(b, a)
+            for order in (LEX, DEGLEX, DEGREVLEX):
+                rev = tuple(reversed(a))
+                want = {
+                    "lex": rev,
+                    "deglex": (sum(a), rev),
+                    "degrevlex": (sum(a), tuple(-e for e in a)),
+                }[order.kind]
+                assert order.key(a) == want
