@@ -21,6 +21,7 @@ from .oracle import CanOracle
 from .peeling import covering_basis
 from .polynomials import (
     Polynomial,
+    Reducer,
     buchberger,
     normal_form,
     parse_ideal_file,
@@ -189,9 +190,10 @@ def _cmd_verify_gb(args) -> int:
     else:
         n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
         elems = [g for g in polys if not g.is_zero()]
+        reducer = Reducer(elems, order)
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                r = normal_form(s_polynomial(elems[i], elems[j], order), elems, order)
+                r = normal_form(s_polynomial(elems[i], elems[j], order), reducer, order)
                 line = "0" if r.is_zero() else r.to_text(order)
                 state = "ok" if r.is_zero() else "remainder"
                 print(f"pair ({i},{j}): {state} {line}")

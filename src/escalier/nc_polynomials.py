@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .polynomials import Polynomial, content_lines, header, normal_form, parse_polynomial
+from .polynomials import (
+    Polynomial,
+    Reducer,
+    content_lines,
+    header,
+    normal_form,
+    parse_polynomial,
+)
 from .words import Word, WordMonoid, WordOrder, subword_occurrences
 
 
@@ -49,6 +56,7 @@ def overlap_check(basis: list[NcPolynomial], order: WordOrder) -> bool:
         if g.leading_coefficient(order) != 1:
             raise ValueError("overlap check requires monic elements")
     leads = [g.leading_word(order) for g in elems]
+    reducer = Reducer(elems, order)
 
     for wi, gi in zip(leads, elems):
         for wj, gj in zip(leads, elems):
@@ -59,13 +67,13 @@ def overlap_check(basis: list[NcPolynomial], order: WordOrder) -> bool:
                 left = wi[: len(wi) - k]
                 right = wj[k:]
                 s = gi.sandwich((), right) - gj.sandwich(left, ())
-                if not normal_form(s, elems, order).is_zero():
+                if not normal_form(s, reducer, order).is_zero():
                     return False
             # inclusions: wi occurs inside wj
             if gi is not gj:
                 for left, right in subword_occurrences(wi, wj):
                     s = gj - gi.sandwich(left, right)
-                    if not normal_form(s, elems, order).is_zero():
+                    if not normal_form(s, reducer, order).is_zero():
                         return False
     return True
 

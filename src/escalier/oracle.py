@@ -14,6 +14,13 @@ normal forms (a reduced Groebner basis, or a free-algebra basis whose
 every ambiguity resolves), so reduction is linear: the normal form of f
 is the sum of c * Can(t) over the terms of f, and can_poly answers with
 that one reduction.
+
+Every answer is reduced over one Reducer, prepared once per basis and
+shared by fresh_copy, which remembers the reduction step of each
+monomial it has reduced. The memory saves computation only: the ledger
+charges every query exactly as without it. It grows with the distinct
+monomials the oracle has reduced, and lives as long as the oracle and
+its copies, which a long serve session should bear in mind.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import ParseError
 from .field import validate_prime
 from .nc_polynomials import NcPolynomial, overlap_check
-from .polynomials import GroebnerBasis, Polynomial, buchberger, normal_form
+from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, normal_form
 from .terms import TermOrder
 from .words import WordOrder
 
@@ -48,9 +55,9 @@ class CanOracle:
         self = object.__new__(cls)
         self.__algebra = algebra
         self.__monoid = algebra.monoid
-        self.__elements = tuple(elements)
+        self.__reducer = Reducer(elements, order)
         self.__order = order
-        self.__leads = tuple(g.leading_term(order) for g in self.__elements)
+        self.__leads = tuple(g.leading_term(order) for g in elements)
         self.__n = n
         self.__p = p
         self.__count = 0
@@ -100,10 +107,11 @@ class CanOracle:
         return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p)
 
     def fresh_copy(self) -> "CanOracle":
-        """Same sealed ideal and order, ledger reset to zero."""
-        return CanOracle._build(
-            self.__algebra, self.__elements, self.__order, self.__n, self.__p
-        )
+        """Same sealed ideal, order and Reducer, ledger reset to zero."""
+        copy = object.__new__(CanOracle)
+        vars(copy).update(vars(self))
+        copy.__count = 0
+        return copy
 
     # --- public ring data ----------------------------------------------
 
@@ -134,7 +142,7 @@ class CanOracle:
         """Canonical form of a single term; one ledger query."""
         t = self.__monoid.validate(t, self.__n)
         self.__count += 1
-        return normal_form(self._term_poly(t), self.__elements, self.__order)
+        return normal_form(self._term_poly(t), self.__reducer, self.__order)
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
@@ -155,7 +163,7 @@ class CanOracle:
         if f.n != self.__n or f.p != self.__p:
             raise ValueError("polynomial is not in the oracle's ring")
         self.__count += len(f.items())
-        return normal_form(f, self.__elements, self.__order)
+        return normal_form(f, self.__reducer, self.__order)
 
     def masked_can(self, t, decomposition):
         """Canonical form of t asked through a masking decomposition.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .nc_polynomials import NcPolynomial
-from .polynomials import normal_form
+from .polynomials import Reducer, normal_form
 from .words import Word, WordOrder, is_factor, word_to_text
 
 
@@ -69,11 +69,12 @@ def covering_basis(
     """Subset H of the hidden reduced basis with every public polynomial
     reducing to zero modulo H.
 
-    Each round fully reduces the public set by the current H, peels a new
-    generator out of a surviving support word, and appends the oracle's
-    element for it. Full tail reduction keeps every remaining support word
-    free of known leading words, so each peel lands on a fresh generator;
-    support word lengths never grow, so the rounds terminate.
+    Each round fully reduces the public set by the current H, held in one
+    Reducer, peels a new generator out of a surviving support word, and
+    adds the oracle's element for it to H. Full tail reduction keeps every
+    remaining support word free of known leading words, so each peel lands
+    on a fresh generator; support word lengths never grow, so the rounds
+    terminate.
 
     The rounds spend membership queries only on candidate words of one
     residual at a time, and no query checks the public set up front. A
@@ -85,10 +86,11 @@ def covering_basis(
     """
     order = WordOrder()
     basis: list[NcPolynomial] = []
+    reducer = Reducer((), order)
     leads: set[Word] = set()
     rounds = 0
     while True:
-        residual = [normal_form(g, basis, order) for g in public_gens]
+        residual = [normal_form(g, reducer, order) for g in public_gens]
         support_total = sum(len(r.support()) for r in residual)
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
@@ -100,9 +102,8 @@ def covering_basis(
         if w in leads:
             raise RuntimeError("peeled a generator that was already reduced away")
         leads.add(w)
-        basis.append(
-            NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w)
-        )
+        basis.append(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
+        reducer.add(basis[-1])
         rounds += 1
         if trace is not None:
             trace.append(

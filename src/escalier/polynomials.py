@@ -244,26 +244,71 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     )
 
 
-def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial:
-    """Fully reduced remainder of f: no monomial of the result has any
-    basis leading monomial as a factor (a divisor of a term, a subword of
-    a word), and the dropped part has a representation over the basis.
+class Reducer:
+    """A basis prepared for reduction under one order, which normal_form
+    takes in place of the basis.
+
+    Its rules (key(lead), insertion index, lead, lc^-1, element) stay
+    sorted by key and index. Every monomial it has reduced maps to its
+    step: () when no lead is a factor of it, else (rule, triples), one
+    (u, key(u), -c * lc^-1 mod p) per tail term c*s of the rule's
+    element, u the rewritten s. The rule for a monomial depends on that
+    monomial alone, so a remembered step is the step the loop would
+    compute, even over a basis whose normal forms are not unique. add
+    forgets only the steps the new rule now takes over.
+    """
+
+    __slots__ = ("order", "_rules", "_steps", "_added")
+
+    def __init__(self, basis: Iterable[Polynomial], order):
+        self.order = order
+        self._rules: list = []
+        self._steps: dict = {}
+        self._added = 0
+        for g in basis:
+            self.add(g)
+
+    def add(self, g: Polynomial) -> None:
+        """Append g to the basis; ties on the lead go to earlier rules."""
+        if g.is_zero():
+            return
+        if self._rules:
+            self._rules[0][4]._compatible(g)
+        order = self.order
+        t, c = g.leading_data(order)
+        rule = (order.key(t), self._added, t, inv_mod(c, g.p), g)
+        self._added += 1
+        insort(self._rules, rule)
+        cofactor, steps = g.monoid.cofactor, self._steps
+        stale = [
+            m for m, step in steps.items()
+            if (not step or step[0] > rule) and cofactor(t, m) is not None
+        ]
+        for m in stale:
+            del steps[m]
+
+
+def normal_form(f: Polynomial, basis, order) -> Polynomial:
+    """Fully reduced remainder of f over basis, a list of polynomials or a
+    Reducer prepared under order: no monomial of the result has any basis
+    leading monomial as a factor (a divisor of a term, a subword of a
+    word), and the dropped part has a representation over the basis.
 
     Deterministic: the largest remaining monomial is processed first, the
     reducer with the smallest leading monomial wins with ties by list
     position, and a word is rewritten at its leftmost occurrence.
     """
+    if type(basis) is not Reducer:
+        basis = Reducer(basis, order)
+    elif basis.order != order:
+        raise ValueError("reducer was prepared under another order")
+    rules, steps = basis._rules, basis._steps
+    if not rules:
+        return f
+    rules[0][4]._compatible(f)
     if f.is_zero():
         return f
     key = order.key
-    reducers = []
-    for idx, g in enumerate(basis):
-        if g.is_zero():
-            continue
-        t, c = g.leading_data(order)
-        reducers.append((key(t), idx, t, c, g))
-    reducers.sort(key=lambda r: (r[0], r[1]))
-
     cofactor, apply = f.monoid.cofactor, f.monoid.apply
     p = f.p
     work = dict(f._coeffs)
@@ -276,22 +321,29 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial], order) -> Polynomial
         c = work.pop(t, 0)
         if not c:
             continue
-        for _, _, lt, lc, g in reducers:
-            q = cofactor(lt, t)
-            if q is not None:
-                break
-        else:
+        step = steps.get(t)
+        if step is None:
+            for rule in rules:
+                q = cofactor(rule[2], t)
+                if q is not None:
+                    lt, m = rule[2], p - rule[3]
+                    step = (rule, [
+                        (u := apply(q, s), key(u), m * cs % p)
+                        for s, cs in rule[4]._coeffs.items()
+                        if s != lt
+                    ])
+                    break
+            else:
+                step = ()
+            steps[t] = step
+        if not step:
             out[t] = c
             continue
-        factor = (c * inv_mod(lc, p)) % p
-        for s, cs in g._coeffs.items():
-            if s == lt:
-                continue
-            u = apply(q, s)
-            v = (work.get(u, 0) - factor * cs) % p
+        for u, ku, m in step[1]:
+            v = (work.get(u, 0) + c * m) % p
             if v:
                 if u not in work:
-                    insort(queue, (key(u), u))
+                    insort(queue, (ku, u))
                 work[u] = v
             elif u in work:
                 del work[u]
@@ -309,8 +361,11 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     skipped when popped. M and F: of the new pairs with h, one per
     divisibility-minimal lcm survives, and none of an lcm where some pair
     has coprime leads. Elements whose lead lt(h) divides form no further
-    pairs but still reduce. The minimal basis is interreduced in one
-    pass: its leads are fixed, so each remainder is the reduced element.
+    pairs but still reduce; one Reducer, grown with the basis, reduces
+    every S-polynomial. The minimal basis is interreduced in one pass over
+    that Reducer, which now holds a Groebner basis: the normal form of a
+    tail over it is unique, so each element's lead plus the normal form
+    of its tail is the reduced element.
 
     The generators must share one ring. Monomial generators form no
     pairs: the reduced basis of a monomial ideal is its minimal
@@ -326,6 +381,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=key)
         return GroebnerBasis(tuple(f._ring(f.n, f.p, {t: 1}) for t in least), order)
     gens = [g.monic(order) for g in gens]
+    reducer = Reducer((), order)
     basis: list[Polynomial] = []
     leads: list[Term] = []
     alive: list[int] = []
@@ -335,6 +391,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     def update(h: Polynomial) -> None:
         k, th = len(basis), h.leading_term(order)
         basis.append(h)
+        reducer.add(h)
         leads.append(th)
         for (i, j), big in list(pending.items()):
             if divides(th, big) and big != lcm(leads[i], th) and big != lcm(leads[j], th):
@@ -358,7 +415,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         _, i, j = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = normal_form(s_polynomial(basis[i], basis[j], order), reducer, order)
         if not r.is_zero():
             update(r.monic(order))
 
@@ -368,19 +425,22 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         t = g.leading_term(order)
         if not any(divides(h.leading_term(order), t) for h in minimal):
             minimal.append(g)
-    reduced = [
-        normal_form(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)
-    ]
+    reduced = []
+    for g in minimal:
+        t = g.leading_term(order)
+        tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
+        reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer, order)._coeffs}))
     return GroebnerBasis(tuple(reduced), order)
 
 
 def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
     """True iff every pairwise S-polynomial reduces to zero over the set."""
     elems = [g for g in basis if not g.is_zero()]
+    reducer = Reducer(elems, order)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             s = s_polynomial(elems[i], elems[j], order)
-            if not normal_form(s, elems, order).is_zero():
+            if not normal_form(s, reducer, order).is_zero():
                 return False
     return True
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import random
+from bisect import insort
 
 from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder
 from escalier.terms import minimal_terms
@@ -60,3 +61,52 @@ def random_poly(rng: random.Random, n: int, p: int = P, deg: int = 2, terms: int
         if sum(t) <= deg + 1:
             coeffs[t] = rng.randrange(1, p)
     return Polynomial(n, p, coeffs)
+
+
+def reference_normal_form(f, basis, order):
+    """normal_form without a Reducer: every call re-sorts the basis and
+    recomputes every step. The same strategy as the library's loop, kept
+    here as its memo-free reference."""
+    from escalier.field import inv_mod
+
+    if f.is_zero():
+        return f
+    key = order.key
+    reducers = []
+    for idx, g in enumerate(basis):
+        if g.is_zero():
+            continue
+        t, c = g.leading_data(order)
+        reducers.append((key(t), idx, t, c, g))
+    reducers.sort(key=lambda r: (r[0], r[1]))
+
+    cofactor, apply = f.monoid.cofactor, f.monoid.apply
+    p = f.p
+    work = dict(f.items())
+    queue = sorted((key(t), t) for t in work)
+    out = {}
+    while queue:
+        t = queue.pop()[1]
+        c = work.pop(t, 0)
+        if not c:
+            continue
+        for _, _, lt, lc, g in reducers:
+            q = cofactor(lt, t)
+            if q is not None:
+                break
+        else:
+            out[t] = c
+            continue
+        factor = (c * inv_mod(lc, p)) % p
+        for s, cs in g.items():
+            if s == lt:
+                continue
+            u = apply(q, s)
+            v = (work.get(u, 0) - factor * cs) % p
+            if v:
+                if u not in work:
+                    insort(queue, (key(u), u))
+                work[u] = v
+            elif u in work:
+                del work[u]
+    return type(f)(f.n, p, out)
