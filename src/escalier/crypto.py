@@ -12,7 +12,7 @@ basis falls to the staircase reconstruction once a degree bound is known.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 from typing import Iterable, Optional, Union
@@ -38,12 +38,13 @@ from .words import WordOrder
 
 def random_polynomial(n: int, p: int, max_degree: int, rng: random.Random) -> Polynomial:
     """Random polynomial of total degree at most max_degree, each term
-    present with probability 0.6; may be zero."""
+    present with probability 0.6; may be zero. Its terms come from
+    terms_of_degree and are trusted, so none is validated again."""
     coeffs = {}
     for t in chain.from_iterable(terms_of_degree(n, d) for d in range(max_degree + 1)):
         if rng.random() < 0.6:
             coeffs[t] = rng.randrange(1, p)
-    return Polynomial(n, p, coeffs)
+    return Polynomial._ring(n, p, coeffs)
 
 
 def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int) -> None:
@@ -197,12 +198,16 @@ def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polyno
 class AttackResult:
     staircase: StaircaseResult
     basis: tuple[Polynomial, ...]
+    _reducer: Reducer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_reducer", Reducer(self.basis, TermOrder("deglex")))
 
     def decrypt(self, poly: Polynomial) -> Polynomial:
-        """Reduction by the recovered basis; once the basis is the hidden
-        reduced basis this equals the oracle's canonical form, whatever
-        order drives the reduction strategy."""
-        return normal_form(poly, list(self.basis), TermOrder("deglex"))
+        """Reduction by the recovered basis, prepared once; once the basis
+        is the hidden reduced basis this equals the oracle's canonical
+        form, whatever order drives the reduction strategy."""
+        return normal_form(poly, self._reducer, self._reducer.order)
 
 
 def attack_commutative(

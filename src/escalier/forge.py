@@ -1,13 +1,19 @@
 """Construction of ideal pairs that agree on every polynomial up to a
 chosen degree yet differ above it.
 
-Starting from a basis of an ideal J and an agreement degree past the
-basis degrees, every generator is multiplied by X2 (the shifted ideal),
-and one extra element is added whose lead is the order-smallest
+Starting from the reduced basis G of an ideal J and an agreement degree
+past the basis degrees, every generator is multiplied by X2 (the shifted
+ideal), and one extra element is added whose lead is the order-smallest
 leading-ideal term one degree above the agreement threshold (the cap).
 Below the threshold the two ideals are indistinguishable, so any
 box-bounded reconstruction run with too small a bound returns the
 shifted ideal's staircase instead of the full one.
+
+Only the extended ideal is completed: multiplying by a monomial keeps
+leads, reduced tails and element order, so X2*G is the reduced basis of
+X2*J, and the extended set is a Groebner basis iff its leads include
+every lead of the extended reduced basis (Cox, Little & O'Shea, Ideals,
+Varieties, and Algorithms, 2.5-2.7).
 """
 
 from __future__ import annotations
@@ -16,14 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .oracle import CanOracle
-from .polynomials import (
-    GroebnerBasis,
-    Polynomial,
-    buchberger,
-    gb_degree,
-    is_groebner,
-    normal_form,
-)
+from .polynomials import GroebnerBasis, Polynomial, buchberger, gb_degree, normal_form
 from .staircase import reconstruct
 from .terms import Term, TermOrder, divides, minimal_terms, term_to_text, terms_of_degree, variable
 
@@ -38,9 +37,9 @@ class ForgedPair:
     cap_poly: Polynomial                    # cap_lead minus its canonical form over J
     shifted_set: tuple[Polynomial, ...]     # X2 * (basis of J)
     extended_set: tuple[Polynomial, ...]    # cap_poly plus the shifted set
-    shifted_basis: GroebnerBasis            # reduced basis of the shifted ideal
+    shifted_basis: GroebnerBasis            # the shifted set, reduced by construction
     extended_basis: GroebnerBasis           # reduced basis of the extended ideal
-    extended_is_groebner: bool              # the extended set already completes itself
+    extended_is_groebner: bool              # each extended_basis lead is a lead of the set
     closed_form_matches: bool               # cap lead equals the padded smallest lead
     order: TermOrder
     n: int
@@ -103,13 +102,14 @@ def build_counterexample(
     )
     closed_form_matches = padded == cap_lead
 
-    cap_poly = Polynomial.term(cap_lead, p) - normal_form(
-        Polynomial.term(cap_lead, p), list(base.elements), order
-    )
+    cap_term = Polynomial.term(cap_lead, p)
+    cap_poly = cap_term - normal_form(cap_term, base.elements, order)
 
     x2 = Polynomial.term(variable(n, 2), p)
     shifted_set = tuple(x2 * g for g in base.elements)
     extended_set = (cap_poly,) + shifted_set
+    extended_basis = buchberger(list(extended_set), order)
+    set_leads = {g.leading_term(order) for g in extended_set}
 
     return ForgedPair(
         base=base,
@@ -118,9 +118,9 @@ def build_counterexample(
         cap_poly=cap_poly,
         shifted_set=shifted_set,
         extended_set=extended_set,
-        shifted_basis=buchberger(list(shifted_set), order),
-        extended_basis=buchberger(list(extended_set), order),
-        extended_is_groebner=is_groebner(list(extended_set), order),
+        shifted_basis=GroebnerBasis(shifted_set, order),
+        extended_basis=extended_basis,
+        extended_is_groebner=set(extended_basis.leading_terms()) <= set_leads,
         closed_form_matches=closed_form_matches,
         order=order,
         n=n,
@@ -152,8 +152,9 @@ def demonstrate_bound_necessity(pair: ForgedPair) -> BoundDemo:
     agreement degree and one above it, and report what each returns."""
     small, big = pair.agree_degree, pair.agree_degree + 1
 
-    res_small = reconstruct(pair.extended_oracle(), pair.n, small)
-    res_big = reconstruct(pair.extended_oracle(), pair.n, big)
+    oracle = pair.extended_oracle()
+    res_small = reconstruct(oracle, pair.n, small)
+    res_big = reconstruct(oracle.fresh_copy(), pair.n, big)
 
     def in_box(t: Term, bound: int) -> bool:
         return all(e <= bound for e in t)

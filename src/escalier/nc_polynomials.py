@@ -44,19 +44,21 @@ class NcPolynomial(Polynomial):
         )
 
 
-def overlap_check(basis: list[NcPolynomial], order: WordOrder) -> bool:
-    """Diamond-lemma confluence test for a finite monic basis.
+def overlap_check(basis, order: WordOrder) -> bool:
+    """Diamond-lemma confluence test for a finite monic basis, a list or
+    a Reducer prepared under order, which then keeps the steps the check
+    remembered.
 
     Every overlap and inclusion ambiguity between leading words must
     reduce to zero under normal_form; then reduction modulo the basis
     computes canonical forms, and those are linear (Bergman 1978).
     """
-    elems = [g for g in basis if not g.is_zero()]
+    reducer = basis if type(basis) is Reducer else Reducer(basis, order)
+    elems = reducer.elements
     for g in elems:
         if g.leading_coefficient(order) != 1:
             raise ValueError("overlap check requires monic elements")
     leads = [g.leading_word(order) for g in elems]
-    reducer = Reducer(elems, order)
 
     for wi, gi in zip(leads, elems):
         for wj, gj in zip(leads, elems):

@@ -51,13 +51,13 @@ class CanOracle:
     # --- construction -------------------------------------------------
 
     @classmethod
-    def _build(cls, algebra, elements, order, n, p):
+    def _build(cls, algebra, reducer, n, p):
         self = object.__new__(cls)
         self.__algebra = algebra
         self.__monoid = algebra.monoid
-        self.__reducer = Reducer(elements, order)
-        self.__order = order
-        self.__leads = tuple(g.leading_term(order) for g in elements)
+        self.__reducer = reducer
+        self.__order = order = reducer.order
+        self.__leads = tuple(g.leading_term(order) for g in reducer.elements)
         self.__n = n
         self.__p = p
         self.__count = 0
@@ -88,7 +88,7 @@ class CanOracle:
         if n is None or p is None:
             raise ValueError("zero ideal oracle needs explicit n and p")
         validate_prime(p)
-        return cls._build(Polynomial, elems, order, n, p)
+        return cls._build(Polynomial, Reducer(elems, order), n, p)
 
     @classmethod
     def noncommutative(cls, basis: Iterable[NcPolynomial]) -> "CanOracle":
@@ -102,9 +102,10 @@ class CanOracle:
         elems = [g.monic(order) for g in elems]
         if any(not g.leading_word(order) for g in elems):
             raise ValueError("basis generates the whole free algebra (a lead is 1)")
-        if not overlap_check(elems, order):
+        reducer = Reducer(elems, order)
+        if not overlap_check(reducer, order):
             raise ValueError("basis fails the overlap confluence check")
-        return cls._build(NcPolynomial, elems, order, elems[0].n, elems[0].p)
+        return cls._build(NcPolynomial, reducer, elems[0].n, elems[0].p)
 
     def fresh_copy(self) -> "CanOracle":
         """Same sealed ideal, order and Reducer, ledger reset to zero."""

@@ -238,10 +238,15 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     tf, cf = f.leading_data(order)
     tg, cg = g.leading_data(order)
     d = lcm(tf, tg)
-    p = f.p
-    return g.multiply_term(inv_mod(cg, p), term_div(d, tg)) - f.multiply_term(
-        inv_mod(cf, p), term_div(d, tf)
-    )
+    p, apply = f.p, f.monoid.apply
+    qg, mg = term_div(d, tg), inv_mod(cg, p)
+    qf, mf = term_div(d, tf), -inv_mod(cf, p)
+    # both products in one dict; the leads cancel and _ring drops them
+    out = {apply(qg, s): c * mg for s, c in g._coeffs.items()}
+    for s, c in f._coeffs.items():
+        u = apply(qf, s)
+        out[u] = out.get(u, 0) + c * mf
+    return f._ring(f.n, p, out)
 
 
 class Reducer:
@@ -267,6 +272,11 @@ class Reducer:
         self._added = 0
         for g in basis:
             self.add(g)
+
+    @property
+    def elements(self) -> list:
+        """The basis elements, in rule order."""
+        return [rule[4] for rule in self._rules]
 
     def add(self, g: Polynomial) -> None:
         """Append g to the basis; ties on the lead go to earlier rules."""

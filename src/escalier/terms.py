@@ -178,11 +178,11 @@ class TermMonoid:
     """Terms under multiplication: the monoid of the commutative ring.
 
     A leading term reduces every term it divides; the cofactor is the
-    exact quotient, applied to a tail term by multiplication.
+    exact quotient, applied to a tail term by multiplication. mul is apply:
+    neither checks arity, since a ring only passes them its own terms.
     """
 
     default_order = TermOrder("deglex")
-    mul = staticmethod(term_mul)
     degree = staticmethod(degree)
     render = staticmethod(term_to_text)
     parse = staticmethod(parse_term)
@@ -208,3 +208,5 @@ class TermMonoid:
     @staticmethod
     def apply(q: Term, s: Term) -> Term:
         return tuple(map(add, q, s))
+
+    mul = apply

@@ -11,6 +11,7 @@ from escalier.crypto import (
     nc_attack_probe,
     parse_ciphertext,
     parse_public_key,
+    random_polynomial,
     recover_basis_element,
     render_ciphertext,
     render_public_key,
@@ -19,7 +20,7 @@ from escalier.errors import ParseError
 from escalier.forge import build_counterexample
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
-from escalier.polynomials import Polynomial
+from escalier.polynomials import Polynomial, normal_form
 
 from helpers import DEGLEX, LEX, P, ncpoly, poly
 
@@ -90,6 +91,16 @@ class TestKeygen:
 def toy_keys_with_m5():
     gens = [poly("X1^2 + X2", p=7), poly("X2^2 + 1", p=7)]
     return keygen(gens, DEGLEX, 2, 1, 5, random.Random(1))
+
+
+class TestNoise:
+    def test_random_polynomial_equals_a_validated_build(self):
+        rng = random.Random(3)
+        for n, p, d in ((1, 7, 3), (2, 3, 2), (3, 32003, 2)):
+            for _ in range(10):
+                f = random_polynomial(n, p, d, rng)
+                assert f == Polynomial(n, p, dict(f.items()))
+                assert f.degree() <= d and all(0 < c < p for _, c in f.items())
 
 
 class TestEncryptDecrypt:
@@ -193,6 +204,21 @@ class TestAttack:
         att = attack_commutative(oracle, keys.public, bound=pair.agree_degree)
         probe = Polynomial.term(pair.cap_lead, P)
         assert att.decrypt(probe) != oracle.can_poly(probe)
+
+    def test_decryptor_reuses_one_reducer(self):
+        # over a wrong basis too, every call equals a fresh reduction
+        pair = build_counterexample([poly("X1^2 + X2")], DEGLEX, 3)
+        keys = keygen(pair.extended_basis, DEGLEX, 2, 1, 4, random.Random(7))
+        for bound in (pair.agree_degree, None):
+            att = attack_commutative(keys.oracle(), keys.public, bound=bound)
+            reducer = att._reducer
+            rng = random.Random(5)
+            for _ in range(20):
+                c = encrypt(keys.public, random_message(keys.public, rng), rng)
+                want = normal_form(c.poly, list(att.basis), DEGLEX)
+                assert att.decrypt(c.poly) == want
+            assert att._reducer is reducer
+            assert att == attack_commutative(keys.oracle(), keys.public, bound=bound)
 
 
 class TestNcProbe:

@@ -8,8 +8,9 @@ and that the result is the one reduced basis of the ideal.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.polynomials import Polynomial, buchberger, is_groebner, normal_form
-from escalier.terms import TermOrder, divides
+from escalier.field import inv_mod
+from escalier.polynomials import Polynomial, buchberger, is_groebner, normal_form, s_polynomial
+from escalier.terms import TermOrder, divides, lcm, term_div
 
 ORDERS = st.sampled_from([TermOrder(kind) for kind in ("lex", "deglex", "degrevlex")])
 PRIMES = st.sampled_from([7, 32003])
@@ -58,3 +59,19 @@ def test_buchberger_gives_the_reduced_basis(case, order):
 
     again = buchberger([f.scale(c) for f, c in zip(perm, scales)], order)
     assert again.elements == gb.elements
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=generator_sets(), order=ORDERS)
+def test_s_polynomial_is_the_difference_of_two_shifted_copies(case, order):
+    gens = [g for g in case[0] if not g.is_zero()]
+    for f in gens:
+        for g in gens:
+            (tf, cf), (tg, cg) = f.leading_data(order), g.leading_data(order)
+            d, p = lcm(tf, tg), f.p
+            want = g.multiply_term(inv_mod(cg, p), term_div(d, tg)) - f.multiply_term(
+                inv_mod(cf, p), term_div(d, tf)
+            )
+            got = s_polynomial(f, g, order)
+            assert got == want and d not in got.support()
+            assert all(0 < c < p for _, c in got.items())

@@ -9,7 +9,7 @@ from escalier.nc_polynomials import (
     parse_free_file,
     render_free_file,
 )
-from escalier.polynomials import normal_form, parse_polynomial
+from escalier.polynomials import Reducer, normal_form, parse_polynomial
 from escalier.words import WordOrder
 
 from helpers import P, ncpoly
@@ -126,6 +126,22 @@ class TestOverlapCheck:
     def test_requires_monic(self):
         with pytest.raises(ValueError):
             overlap_check([ncpoly("2*X1*X2")], ORDER)
+
+    def test_prepared_reducer_gives_the_same_answer(self):
+        # the reducer keeps what the check reduced, and reduces afterwards
+        # exactly as a fresh one over the same basis
+        bases = [
+            [ncpoly("X1*X2"), ncpoly("X2*X1")],
+            [ncpoly("X1*X1 - X2")],
+            [ncpoly("X1*X1 - 1")],
+            [ncpoly("X2*X1 - X1*X2")],
+            [ncpoly("X1*X2*X1 - X2"), ncpoly("X2*X2 - 1")],
+        ]
+        probe = ncpoly("X1*X1*X1*X2*X1 + 3*X2*X1*X2*X1 + X2*X2*X2")
+        for basis in bases:
+            reducer = Reducer(basis, ORDER)
+            assert overlap_check(reducer, ORDER) == overlap_check(basis, ORDER)
+            assert normal_form(probe, reducer, ORDER) == normal_form(probe, basis, ORDER)
 
 
 class TestText:
