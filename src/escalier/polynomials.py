@@ -117,12 +117,6 @@ class Polynomial:
     def scale(self, c: int) -> "Polynomial":
         return self._ring(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
 
-    def multiply_term(self, coeff: int, t) -> "Polynomial":
-        t, mul = self.monoid.validate(t, self.n), self.monoid.mul
-        return self._ring(
-            self.n, self.p, {mul(s, t): v * coeff for s, v in self._coeffs.items()}
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)

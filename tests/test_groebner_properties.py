@@ -29,7 +29,8 @@ def generator_sets(draw):
     gens = [Polynomial(n, p, c) for c in draw(st.lists(polys, min_size=1, max_size=4))]
     if len(gens) > 1 and draw(st.booleans()):
         a, b = gens[0], gens[-1]
-        gens.append(a.multiply_term(draw(coeff), draw(terms)) + b.scale(draw(coeff)))
+        c, t = draw(coeff), draw(terms)
+        gens.append(a * Polynomial(n, p, {t: c}) + b.scale(draw(coeff)))
     perm = draw(st.permutations(gens))
     return gens, perm, draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
 
@@ -69,8 +70,8 @@ def test_s_polynomial_is_the_difference_of_two_shifted_copies(case, order):
         for g in gens:
             (tf, cf), (tg, cg) = f.leading_data(order), g.leading_data(order)
             d, p = lcm(tf, tg), f.p
-            want = g.multiply_term(inv_mod(cg, p), term_div(d, tg)) - f.multiply_term(
-                inv_mod(cf, p), term_div(d, tf)
+            want = g * Polynomial(f.n, p, {term_div(d, tg): inv_mod(cg, p)}) - f * Polynomial(
+                f.n, p, {term_div(d, tf): inv_mod(cf, p)}
             )
             got = s_polynomial(f, g, order)
             assert got == want and d not in got.support()
