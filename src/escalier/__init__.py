@@ -23,6 +23,7 @@ from .peeling import candidate_terms, covering_basis, peel
 from .polynomials import (
     GroebnerBasis,
     Polynomial,
+    Reducer,
     buchberger,
     gb_degree,
     is_groebner,

@@ -23,15 +23,14 @@ from .polynomials import (
     Polynomial,
     Reducer,
     buchberger,
-    normal_form,
     parse_ideal_file,
     parse_polynomial,
     render_ideal_file,
-    s_polynomial,
+    s_pair_remainders,
 )
 from .staircase import _MAX_BOX_TERMS, brute_force_generators, reconstruct, render_result
 from .terms import Box, TermOrder
-from .words import WordOrder
+from .words import WordMonoid
 
 
 def _emit(text: str, out_path):
@@ -182,23 +181,22 @@ def _cmd_verify_gb(args) -> int:
     head = text.lstrip().split(None, 1)[0] if text.strip() else ""
     ok = True
     if head == "free":
+        for flag in ("order", "p"):
+            if getattr(args, flag) is not None:
+                raise ParseError(f"--{flag} does not apply to a free-algebra file")
         n, p, polys = parse_free_file(text)
-        order = WordOrder()
+        order = WordMonoid.default_order
         monic = [g.monic(order) for g in polys if not g.is_zero()]
-        ok = overlap_check(monic, order)
+        ok = overlap_check(Reducer(monic, order))
         print(f"ambiguities resolve: {ok}")
     else:
         n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
-        elems = [g for g in polys if not g.is_zero()]
-        reducer = Reducer(elems, order)
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                r = normal_form(s_polynomial(elems[i], elems[j], order), reducer, order)
-                line = "0" if r.is_zero() else r.to_text(order)
-                state = "ok" if r.is_zero() else "remainder"
-                print(f"pair ({i},{j}): {state} {line}")
-                if not r.is_zero():
-                    ok = False
+        for i, j, r in s_pair_remainders(polys, order):
+            line = "0" if r.is_zero() else r.to_text(order)
+            state = "ok" if r.is_zero() else "remainder"
+            print(f"pair ({i},{j}): {state} {line}")
+            if not r.is_zero():
+                ok = False
     return 0 if ok else 1
 
 

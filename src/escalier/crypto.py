@@ -33,7 +33,6 @@ from .polynomials import (
 )
 from .staircase import _MAX_BOX_TERMS, StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
-from .words import WordOrder
 
 
 def random_polynomial(n: int, p: int, max_degree: int, rng: random.Random) -> Polynomial:
@@ -198,16 +197,18 @@ def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polyno
 class AttackResult:
     staircase: StaircaseResult
     basis: tuple[Polynomial, ...]
+    order: TermOrder
     _reducer: Reducer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_reducer", Reducer(self.basis, TermOrder("deglex")))
+        object.__setattr__(self, "_reducer", Reducer(self.basis, self.order))
 
     def decrypt(self, poly: Polynomial) -> Polynomial:
-        """Reduction by the recovered basis, prepared once; once the basis
-        is the hidden reduced basis this equals the oracle's canonical
-        form, whatever order drives the reduction strategy."""
-        return normal_form(poly, self._reducer, self._reducer.order)
+        """Reduction by the recovered basis under the key's order,
+        prepared once; once the basis is the hidden reduced basis this
+        equals the oracle's canonical form. Under another order its leads
+        can differ, and so can the remainders."""
+        return normal_form(poly, self._reducer)
 
 
 def attack_commutative(
@@ -221,7 +222,7 @@ def attack_commutative(
     if bound is None:
         bound = pk.degree_cap
     res = reconstruct(oracle, pk.n, bound)
-    return AttackResult(staircase=res, basis=res.reduced_basis)
+    return AttackResult(staircase=res, basis=res.reduced_basis, order=pk.order)
 
 
 def _random_nc_polynomial(
@@ -261,9 +262,8 @@ def nc_attack_probe(
     tally records agreement without asserting either outcome.
     """
     n, p = oracle.n, oracle.p
-    order = WordOrder()
     basis = covering_basis(oracle, public_gens)
-    reducer = Reducer(basis, order)
+    reducer = Reducer(basis, NcPolynomial.monoid.default_order)
 
     # message alphabet: short words fixed by the oracle
     alphabet: list = []
@@ -288,7 +288,7 @@ def nc_attack_probe(
             left = _random_nc_polynomial(n, p, 1, rng)
             right = _random_nc_polynomial(n, p, 1, rng)
             c = c + left * g * right
-        if normal_form(c, reducer, order) == msg:
+        if normal_form(c, reducer) == msg:
             successes += 1
         else:
             failures += 1

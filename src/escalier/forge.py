@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .oracle import CanOracle
-from .polynomials import GroebnerBasis, Polynomial, buchberger, gb_degree, normal_form
+from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, gb_degree, normal_form
 from .staircase import reconstruct
 from .terms import Term, TermOrder, divides, minimal_terms, term_to_text, terms_of_degree, variable
 
@@ -103,7 +103,7 @@ def build_counterexample(
     closed_form_matches = padded == cap_lead
 
     cap_term = Polynomial.term(cap_lead, p)
-    cap_poly = cap_term - normal_form(cap_term, base.elements, order)
+    cap_poly = cap_term - normal_form(cap_term, Reducer(base.elements, order))
 
     x2 = Polynomial.term(variable(n, 2), p)
     shifted_set = tuple(x2 * g for g in base.elements)

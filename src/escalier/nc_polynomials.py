@@ -19,7 +19,7 @@ from .polynomials import (
     normal_form,
     parse_polynomial,
 )
-from .words import Word, WordMonoid, WordOrder, subword_occurrences
+from .words import Word, WordMonoid, subword_occurrences
 
 
 class NcPolynomial(Polynomial):
@@ -32,9 +32,6 @@ class NcPolynomial(Polynomial):
     def term(cls, w: Word, n: int, p: int) -> "NcPolynomial":
         return cls(n, p, {tuple(w): 1})
 
-    def leading_word(self, order: WordOrder) -> Word:
-        return self.leading_term(order)
-
     def sandwich(self, left: Word, right: Word) -> "NcPolynomial":
         """left * self * right for plain words."""
         validate = self.monoid.validate
@@ -44,21 +41,19 @@ class NcPolynomial(Polynomial):
         )
 
 
-def overlap_check(basis, order: WordOrder) -> bool:
-    """Diamond-lemma confluence test for a finite monic basis, a list or
-    a Reducer prepared under order, which then keeps the steps the check
-    remembered.
+def overlap_check(reducer: Reducer) -> bool:
+    """Diamond-lemma confluence test for a finite monic basis, prepared
+    as a Reducer, which keeps the steps the check remembered.
 
     Every overlap and inclusion ambiguity between leading words must
     reduce to zero under normal_form; then reduction modulo the basis
     computes canonical forms, and those are linear (Bergman 1978).
     """
-    reducer = basis if type(basis) is Reducer else Reducer(basis, order)
-    elems = reducer.elements
+    order, elems = reducer.order, reducer.elements
     for g in elems:
         if g.leading_coefficient(order) != 1:
             raise ValueError("overlap check requires monic elements")
-    leads = [g.leading_word(order) for g in elems]
+    leads = [g.leading_term(order) for g in elems]
 
     for wi, gi in zip(leads, elems):
         for wj, gj in zip(leads, elems):
@@ -69,13 +64,13 @@ def overlap_check(basis, order: WordOrder) -> bool:
                 left = wi[: len(wi) - k]
                 right = wj[k:]
                 s = gi.sandwich((), right) - gj.sandwich(left, ())
-                if not normal_form(s, reducer, order).is_zero():
+                if not normal_form(s, reducer).is_zero():
                     return False
             # inclusions: wi occurs inside wj
             if gi is not gj:
                 for left, right in subword_occurrences(wi, wj):
                     s = gj - gi.sandwich(left, right)
-                    if not normal_form(s, reducer, order).is_zero():
+                    if not normal_form(s, reducer).is_zero():
                         return False
     return True
 

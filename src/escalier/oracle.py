@@ -32,7 +32,6 @@ from .field import validate_prime
 from .nc_polynomials import NcPolynomial, overlap_check
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, normal_form
 from .terms import TermOrder
-from .words import WordOrder
 
 
 class CanOracle:
@@ -56,8 +55,7 @@ class CanOracle:
         self.__algebra = algebra
         self.__monoid = algebra.monoid
         self.__reducer = reducer
-        self.__order = order = reducer.order
-        self.__leads = tuple(g.leading_term(order) for g in reducer.elements)
+        self.__leads = tuple(g.leading_term(reducer.order) for g in reducer.elements)
         self.__n = n
         self.__p = p
         self.__count = 0
@@ -95,15 +93,15 @@ class CanOracle:
         """Oracle backed by a finite free-algebra basis of a proper ideal
         under the word order; the basis must pass the full overlap_check
         so canonical forms are well defined."""
-        order = WordOrder()
+        order = NcPolynomial.monoid.default_order
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
             raise ValueError("free-algebra oracle needs a nonempty basis")
         elems = [g.monic(order) for g in elems]
-        if any(not g.leading_word(order) for g in elems):
+        if any(not g.leading_term(order) for g in elems):
             raise ValueError("basis generates the whole free algebra (a lead is 1)")
         reducer = Reducer(elems, order)
-        if not overlap_check(reducer, order):
+        if not overlap_check(reducer):
             raise ValueError("basis fails the overlap confluence check")
         return cls._build(NcPolynomial, reducer, elems[0].n, elems[0].p)
 
@@ -143,7 +141,7 @@ class CanOracle:
         """Canonical form of a single term; one ledger query."""
         t = self.__monoid.validate(t, self.__n)
         self.__count += 1
-        return normal_form(self._term_poly(t), self.__reducer, self.__order)
+        return normal_form(self._term_poly(t), self.__reducer)
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
@@ -164,7 +162,7 @@ class CanOracle:
         if f.n != self.__n or f.p != self.__p:
             raise ValueError("polynomial is not in the oracle's ring")
         self.__count += len(f.items())
-        return normal_form(f, self.__reducer, self.__order)
+        return normal_form(f, self.__reducer)
 
     def masked_can(self, t, decomposition):
         """Canonical form of t asked through a masking decomposition.

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .nc_polynomials import NcPolynomial
 from .polynomials import Reducer, normal_form
-from .words import Word, WordOrder, is_factor, word_to_text
+from .words import Word, is_factor, word_to_text
 
 
 def candidate_terms(g: NcPolynomial) -> list[Word]:
@@ -84,13 +84,11 @@ def covering_basis(
     always a candidate: a nonzero residual with no candidate inside
     proves its member outside the ideal, and raises ValueError.
     """
-    order = WordOrder()
-    basis: list[NcPolynomial] = []
-    reducer = Reducer((), order)
+    reducer = Reducer((), NcPolynomial.monoid.default_order)
     leads: set[Word] = set()
     rounds = 0
     while True:
-        residual = [normal_form(g, reducer, order) for g in public_gens]
+        residual = [normal_form(g, reducer) for g in public_gens]
         support_total = sum(len(r.support()) for r in residual)
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
@@ -102,12 +100,10 @@ def covering_basis(
         if w in leads:
             raise RuntimeError("peeled a generator that was already reduced away")
         leads.add(w)
-        basis.append(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
-        reducer.add(basis[-1])
+        reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
         rounds += 1
         if trace is not None:
             trace.append(
                 f"round {rounds}: peeled {word_to_text(w)}, residual supports {support_total}"
             )
-    basis.sort(key=lambda h: order.key(h.leading_word(order)))
-    return basis
+    return reducer.elements

@@ -18,7 +18,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
 from .field import inv_mod, validate_prime
@@ -244,8 +244,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 
 class Reducer:
-    """A basis prepared for reduction under one order, which normal_form
-    takes in place of the basis.
+    """A basis prepared for reduction under one order: normal_form
+    reduces over a Reducer and reads the order from it.
 
     Its rules (key(lead), insertion index, lead, lc^-1, element) stay
     sorted by key and index. Every monomial it has reduced maps to its
@@ -292,9 +292,9 @@ class Reducer:
             del steps[m]
 
 
-def normal_form(f: Polynomial, basis, order) -> Polynomial:
-    """Fully reduced remainder of f over basis, a list of polynomials or a
-    Reducer prepared under order: no monomial of the result has any basis
+def normal_form(f: Polynomial, reducer: Reducer) -> Polynomial:
+    """Fully reduced remainder of f over the reducer's basis, under the
+    order it was prepared with: no monomial of the result has any basis
     leading monomial as a factor (a divisor of a term, a subword of a
     word), and the dropped part has a representation over the basis.
 
@@ -302,17 +302,13 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     reducer with the smallest leading monomial wins with ties by list
     position, and a word is rewritten at its leftmost occurrence.
     """
-    if type(basis) is not Reducer:
-        basis = Reducer(basis, order)
-    elif basis.order != order:
-        raise ValueError("reducer was prepared under another order")
-    rules, steps = basis._rules, basis._steps
+    rules, steps = reducer._rules, reducer._steps
     if not rules:
         return f
     rules[0][4]._compatible(f)
     if f.is_zero():
         return f
-    key = order.key
+    key = reducer.order.key
     cofactor, apply = f.monoid.cofactor, f.monoid.apply
     p = f.p
     work = dict(f._coeffs)
@@ -419,7 +415,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         _, i, j = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), reducer, order)
+        r = normal_form(s_polynomial(basis[i], basis[j], order), reducer)
         if not r.is_zero():
             update(r.monic(order))
 
@@ -433,20 +429,23 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     for g in minimal:
         t = g.leading_term(order)
         tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
-        reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer, order)._coeffs}))
+        reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer)._coeffs}))
     return GroebnerBasis(tuple(reduced), order)
 
 
-def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
-    """True iff every pairwise S-polynomial reduces to zero over the set."""
+def s_pair_remainders(basis: list[Polynomial], order: TermOrder) -> Iterator[tuple]:
+    """(i, j, remainder) for every pair i < j of the nonzero elements, in
+    order: the normal form of their S-polynomial over all of them."""
     elems = [g for g in basis if not g.is_zero()]
     reducer = Reducer(elems, order)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            s = s_polynomial(elems[i], elems[j], order)
-            if not normal_form(s, reducer, order).is_zero():
-                return False
-    return True
+            yield i, j, normal_form(s_polynomial(elems[i], elems[j], order), reducer)
+
+
+def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
+    """True iff every pairwise S-polynomial reduces to zero over the set."""
+    return all(r.is_zero() for _, _, r in s_pair_remainders(basis, order))
 
 
 def gb_degree(basis: GroebnerBasis) -> int:

@@ -19,6 +19,7 @@ from escalier.oracle import CanOracle
 from escalier.peeling import covering_basis
 from escalier.polynomials import (
     Polynomial,
+    Reducer,
     buchberger,
     gb_degree,
     normal_form,
@@ -217,10 +218,10 @@ def test_criterion_8_covering_basis_contract():
                 publics.append(g)
         h = covering_basis(oracle, publics)
         for g in publics:
-            assert normal_form(g, h, WORDS).is_zero()
+            assert normal_form(g, Reducer(h, WORDS)).is_zero()
         check = oracle.fresh_copy()
         for x in h:
-            lead = x.leading_word(WORDS)
+            lead = x.leading_term(WORDS)
             before = check.queries
             assert check.member_T(lead)
             if len(lead) > 1:

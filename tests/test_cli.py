@@ -95,6 +95,14 @@ class TestVerifyGb:
         path.write_text(NC_PRIVATE)
         assert run(["verify-gb", "--ideal", str(path)]) == 0
 
+    @pytest.mark.parametrize("flags", [["--order", "lex"], ["--p", "11"]])
+    def test_nc_file_refuses_ring_flags(self, flags, tmp_path, capsys):
+        # a free-algebra file has one word order and its own modulus
+        path = tmp_path / "nc.free"
+        path.write_text(NC_PRIVATE)
+        assert run(["verify-gb", "--ideal", str(path)] + flags) == 2
+        _one_error_line(capsys)
+
 
 class TestCryptoCommands:
     def test_full_cycle(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escalier.nc_polynomials import NcPolynomial
-from escalier.polynomials import Polynomial, normal_form
+from escalier.polynomials import Polynomial, Reducer, normal_form
 from escalier.terms import TermOrder
 from escalier.words import WordOrder
 
@@ -37,8 +37,8 @@ polys = st.dictionaries(DEGREES, st.integers(min_value=0, max_value=10**6), max_
 def test_reduction_agrees_in_one_variable(p, f, basis):
     f_comm, f_free = one_variable(f, p)
     pairs = [one_variable(g, p) for g in basis]
-    r_comm = normal_form(f_comm, [c for c, _ in pairs], TermOrder("deglex"))
-    r_free = normal_form(f_free, [w for _, w in pairs], WordOrder())
+    r_comm = normal_form(f_comm, Reducer([c for c, _ in pairs], TermOrder("deglex")))
+    r_free = normal_form(f_free, Reducer([w for _, w in pairs], WordOrder()))
     assert as_exponents(r_free) == dict(r_comm.items())
 
 

@@ -20,9 +20,9 @@ from escalier.errors import ParseError
 from escalier.forge import build_counterexample
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
-from escalier.polynomials import Polynomial, normal_form
+from escalier.polynomials import Polynomial, Reducer, normal_form
 
-from helpers import DEGLEX, LEX, P, ncpoly, poly
+from helpers import DEGLEX, DEGREVLEX, LEX, P, ncpoly, poly
 
 
 def toy_keys(p=7, seed=1):
@@ -215,10 +215,20 @@ class TestAttack:
             rng = random.Random(5)
             for _ in range(20):
                 c = encrypt(keys.public, random_message(keys.public, rng), rng)
-                want = normal_form(c.poly, list(att.basis), DEGLEX)
+                want = normal_form(c.poly, Reducer(list(att.basis), DEGLEX))
                 assert att.decrypt(c.poly) == want
             assert att._reducer is reducer
             assert att == attack_commutative(keys.oracle(), keys.public, bound=bound)
+
+    def test_decryptor_reduces_under_the_key_order(self):
+        # degrevlex leads X2^2 + X1*X3 with X2^2, deglex would with X1*X3
+        gens = [poly("X2^2 + X1*X3", n=3), poly("X3^3 + 1", n=3)]
+        keys = keygen(gens, DEGREVLEX, 2, 1, 4, random.Random(3))
+        att = attack_commutative(keys.oracle(), keys.public)
+        rng = random.Random(11)
+        for _ in range(20):
+            c = encrypt(keys.public, random_message(keys.public, rng), rng)
+            assert att.decrypt(c.poly) == decrypt(keys.oracle(), c)
 
 
 class TestNcProbe:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from escalier.forge import build_counterexample, demonstrate_bound_necessity
-from escalier.polynomials import gb_degree, is_groebner, normal_form
+from escalier.polynomials import Reducer, gb_degree, is_groebner, normal_form
 from escalier.staircase import reconstruct
 from escalier.terms import Box, box_enumerate, divides
 
@@ -49,7 +49,7 @@ class TestBuild:
         pair = build_counterexample([poly("X1^2 + X2")], DEGLEX, 3)
         ext = list(pair.extended_basis.elements)
         for g in pair.shifted_set:
-            assert normal_form(g, ext, DEGLEX).is_zero()
+            assert normal_form(g, Reducer(ext, DEGLEX)).is_zero()
 
     def test_degree_gap(self):
         pair = build_counterexample([poly("X1^2")], DEGREVLEX, 3)
