@@ -40,7 +40,7 @@ from .staircase import (
     reconstruct,
     render_result,
 )
-from .terms import Box, TermMonoid, TermOrder, box_enumerate, divides, lcm
+from .terms import TermMonoid, TermOrder, divides, lcm
 from .words import WordMonoid, WordOrder, subword_occurrences
 
 __version__ = "0.1.0"

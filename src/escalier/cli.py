@@ -29,7 +29,7 @@ from .polynomials import (
     s_pair_remainders,
 )
 from .staircase import _MAX_BOX_TERMS, brute_force_generators, reconstruct, render_result
-from .terms import Box, TermOrder
+from .terms import TermOrder
 from .words import WordMonoid
 
 
@@ -54,7 +54,7 @@ def _load_ideal(path, order_override=None, p_override=None):
 
 def _check_box(n: int, bound: int) -> None:
     """Refuse a box too large to reconstruct in, before any oracle exists."""
-    size = Box(n, bound).size
+    size = (bound + 1) ** n
     if size > _MAX_BOX_TERMS:
         raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
 
@@ -65,7 +65,7 @@ def _free_oracle(private, public):
     n, p, basis = parse_free_file(Path(private).read_text())
     pn, pp, publics = parse_free_file(Path(public).read_text())
     if (pn, pp) != (n, p):
-        raise ValueError("public file and private file use different algebras")
+        raise ParseError("public file and private file use different algebras")
     return CanOracle.noncommutative(basis), publics
 
 
@@ -144,6 +144,8 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     n, p, order, polys = _load_ideal(args.private)
     cipher = crypto.parse_ciphertext(Path(args.cipher).read_text())
+    if (cipher.poly.n, cipher.poly.p) != (n, p):
+        raise ParseError("ciphertext and private file use different rings")
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     out = crypto.decrypt(oracle, cipher)
     print(out.to_text(order))
@@ -155,6 +157,8 @@ def _cmd_decrypt(args) -> int:
 def _cmd_attack(args) -> int:
     n, p, order, polys = _load_ideal(args.private)
     pk = crypto.parse_public_key(Path(args.public).read_text())
+    if (pk.n, pk.p) != (n, p):
+        raise ParseError("public key and private file use different rings")
     bound = pk.degree_cap if args.bound is None else args.bound
     _check_box(pk.n, bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)

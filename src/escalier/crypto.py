@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 from typing import Iterable, Optional, Union
 
@@ -35,15 +35,25 @@ from .staircase import _MAX_BOX_TERMS, StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
 
 
-def random_polynomial(n: int, p: int, max_degree: int, rng: random.Random) -> Polynomial:
-    """Random polynomial of total degree at most max_degree, each term
-    present with probability 0.6; may be zero. Its terms come from
-    terms_of_degree and are trusted, so none is validated again."""
+def random_polynomial(
+    n: int,
+    p: int,
+    max_degree: int,
+    rng: random.Random,
+    cls: type = Polynomial,
+    density: float = 0.6,
+) -> Polynomial:
+    """Random polynomial of cls of degree at most max_degree, each monomial
+    present with probability density; may be zero. Its monomials come
+    from the monoid's of_degree and are trusted, so none is validated
+    again."""
+    of_degree = cls.monoid.of_degree
     coeffs = {}
-    for t in chain.from_iterable(terms_of_degree(n, d) for d in range(max_degree + 1)):
-        if rng.random() < 0.6:
-            coeffs[t] = rng.randrange(1, p)
-    return Polynomial._ring(n, p, coeffs)
+    for d in range(max_degree + 1):
+        for t in of_degree(n, d):
+            if rng.random() < density:
+                coeffs[t] = rng.randrange(1, p)
+    return cls._ring(n, p, coeffs)
 
 
 def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int) -> None:
@@ -225,21 +235,6 @@ def attack_commutative(
     return AttackResult(staircase=res, basis=res.reduced_basis, order=pk.order)
 
 
-def _random_nc_polynomial(
-    n: int, p: int, max_len: int, rng: random.Random
-) -> NcPolynomial:
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (i,) for w in frontier for i in range(1, n + 1)]
-        words.extend(frontier)
-    coeffs = {}
-    for w in words:
-        if rng.random() < 0.4:
-            coeffs[w] = rng.randrange(1, p)
-    return NcPolynomial(n, p, coeffs)
-
-
 @dataclass(frozen=True)
 class NcProbeReport:
     trials: int
@@ -265,18 +260,10 @@ def nc_attack_probe(
     basis = covering_basis(oracle, public_gens)
     reducer = Reducer(basis, NcPolynomial.monoid.default_order)
 
-    # message alphabet: short words fixed by the oracle
-    alphabet: list = []
-    frontier = [()]
-    for _ in range(3):
-        for w in list(frontier):
-            if len(alphabet) >= 4:
-                break
-            if not oracle.member_T(w):
-                alphabet.append(w)
-        frontier = [w + (i,) for w in frontier for i in range(1, n + 1)]
-        if len(alphabet) >= 4:
-            break
+    # message alphabet: the first four words of length at most 2 fixed
+    # by the oracle, shortest first
+    words = chain.from_iterable(NcPolynomial.monoid.of_degree(n, d) for d in range(3))
+    alphabet = list(islice((w for w in words if not oracle.member_T(w)), 4))
 
     successes = failures = 0
     for _ in range(trials):
@@ -285,8 +272,8 @@ def nc_attack_probe(
         )
         c = msg
         for g in public_gens:
-            left = _random_nc_polynomial(n, p, 1, rng)
-            right = _random_nc_polynomial(n, p, 1, rng)
+            left = random_polynomial(n, p, 1, rng, NcPolynomial, 0.4)
+            right = random_polynomial(n, p, 1, rng, NcPolynomial, 0.4)
             c = c + left * g * right
         if normal_form(c, reducer) == msg:
             successes += 1

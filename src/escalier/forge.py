@@ -35,18 +35,14 @@ class ForgedPair:
     agree_degree: int                       # polynomials agree up to here
     cap_lead: Term                          # smallest lead of degree agree_degree + 1
     cap_poly: Polynomial                    # cap_lead minus its canonical form over J
-    shifted_set: tuple[Polynomial, ...]     # X2 * (basis of J)
-    extended_set: tuple[Polynomial, ...]    # cap_poly plus the shifted set
-    shifted_basis: GroebnerBasis            # the shifted set, reduced by construction
+    extended_set: tuple[Polynomial, ...]    # cap_poly plus the shifted basis
+    shifted_basis: GroebnerBasis            # X2 * (basis of J), reduced by construction
     extended_basis: GroebnerBasis           # reduced basis of the extended ideal
     extended_is_groebner: bool              # each extended_basis lead is a lead of the set
     closed_form_matches: bool               # cap lead equals the padded smallest lead
     order: TermOrder
     n: int
     p: int
-
-    def shifted_oracle(self) -> CanOracle:
-        return CanOracle.commutative(self.shifted_basis)
 
     def extended_oracle(self) -> CanOracle:
         return CanOracle.commutative(self.extended_basis)
@@ -106,8 +102,8 @@ def build_counterexample(
     cap_poly = cap_term - normal_form(cap_term, Reducer(base.elements, order))
 
     x2 = Polynomial.term(variable(n, 2), p)
-    shifted_set = tuple(x2 * g for g in base.elements)
-    extended_set = (cap_poly,) + shifted_set
+    shifted_basis = GroebnerBasis(tuple(x2 * g for g in base.elements), order)
+    extended_set = (cap_poly,) + shifted_basis.elements
     extended_basis = buchberger(list(extended_set), order)
     set_leads = {g.leading_term(order) for g in extended_set}
 
@@ -116,9 +112,8 @@ def build_counterexample(
         agree_degree=agree_degree,
         cap_lead=cap_lead,
         cap_poly=cap_poly,
-        shifted_set=shifted_set,
         extended_set=extended_set,
-        shifted_basis=GroebnerBasis(shifted_set, order),
+        shifted_basis=shifted_basis,
         extended_basis=extended_basis,
         extended_is_groebner=set(extended_basis.leading_terms()) <= set_leads,
         closed_form_matches=closed_form_matches,

@@ -89,7 +89,6 @@ def covering_basis(
     rounds = 0
     while True:
         residual = [normal_form(g, reducer) for g in public_gens]
-        support_total = sum(len(r.support()) for r in residual)
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
             break
@@ -103,7 +102,6 @@ def covering_basis(
         reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
         rounds += 1
         if trace is not None:
-            trace.append(
-                f"round {rounds}: peeled {word_to_text(w)}, residual supports {support_total}"
-            )
+            supports = sum(len(r.items()) for r in residual)
+            trace.append(f"round {rounds}: peeled {word_to_text(w)}, residual supports {supports}")
     return reducer.elements

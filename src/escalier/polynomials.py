@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
 from .field import inv_mod, validate_prime
-from .terms import Term, TermMonoid, TermOrder, divides, lcm, minimal_terms, term_div, term_mul
+from .terms import Term, TermMonoid, TermOrder, divides, lcm, minimal_terms
 
 
 class Polynomial:
@@ -232,9 +232,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     tf, cf = f.leading_data(order)
     tg, cg = g.leading_data(order)
     d = lcm(tf, tg)
-    p, apply = f.p, f.monoid.apply
-    qg, mg = term_div(d, tg), inv_mod(cg, p)
-    qf, mf = term_div(d, tf), -inv_mod(cf, p)
+    p, cofactor, apply = f.p, f.monoid.cofactor, f.monoid.apply
+    qg, mg = cofactor(tg, d), inv_mod(cg, p)
+    qf, mf = cofactor(tf, d), -inv_mod(cf, p)
     # both products in one dict; the leads cancel and _ring drops them
     out = {apply(qg, s): c * mg for s, c in g._coeffs.items()}
     for s, c in f._coeffs.items():
@@ -402,7 +402,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         for big, members in classes.items():
             if any(c != big and divides(c, big) for c in classes):
                 continue
-            if any(big == term_mul(leads[i], th) for i in members):
+            if any(big == TermMonoid.mul(leads[i], th) for i in members):
                 continue
             pending[members[0], k] = big
             heappush(heap, (key(big), members[0], k))

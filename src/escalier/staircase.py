@@ -14,12 +14,14 @@ same monotone scans (membership along a ray only switches once).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from .errors import ParseError
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
-from .terms import Box, Term, box_enumerate, divides, minimal_terms, parse_term, term_to_text
+from .terms import Term, divides, minimal_terms, parse_term, term_to_text
 
 
 # the largest box (bound+1)**n that brute force enumerates and that the
@@ -40,6 +42,18 @@ class StaircaseResult:
 # --- monotone scans -------------------------------------------------------
 
 
+def _bisect(test: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest v in [lo, hi] with test(v) true, for monotone test with
+    test(hi) true; test(hi) itself is never asked."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _scan_min_true(test: Callable[[int], bool], lo: int, hi: int, binary: bool):
     """Smallest v in [lo, hi] with test(v) true, for monotone test; None if none."""
     if lo > hi:
@@ -51,30 +65,17 @@ def _scan_min_true(test: Callable[[int], bool], lo: int, hi: int, binary: bool):
         return None
     if not test(hi):
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if test(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _bisect(test, lo, hi)
 
 
 def _drop_min_true(test: Callable[[int], bool], hi: int, binary: bool) -> int:
     """Smallest v in [0, hi] with test(v) true, given test(hi) is known true."""
-    if not binary:
-        v = hi
-        while v >= 1 and test(v - 1):
-            v -= 1
-        return v
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if test(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    if binary:
+        return _bisect(test, 0, hi)
+    v = hi
+    while v >= 1 and test(v - 1):
+        v -= 1
+    return v
 
 
 # --- one variable -----------------------------------------------------------
@@ -192,13 +193,15 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
 
 
 def brute_force_generators(oracle, n: int, bound: int) -> set[Term]:
-    """Baseline: query every box term and keep the divisibility-minimal
-    members; always (bound+1)**n queries. Refuses a box of more than
-    _MAX_BOX_TERMS terms, which it would have to sort in memory."""
-    box = Box(n, bound)
-    if box.size > _MAX_BOX_TERMS:
-        raise ValueError(f"box of {box.size} terms exceeds the limit of {_MAX_BOX_TERMS}")
-    members = [t for t in box_enumerate(box) if oracle.member_T(t)]
+    """Baseline: query every term of the box [0, bound]^n and keep the
+    divisibility-minimal members; always (bound+1)**n queries. Refuses a
+    negative bound and a box of more than _MAX_BOX_TERMS terms."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    size = (bound + 1) ** n
+    if size > _MAX_BOX_TERMS:
+        raise ValueError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    members = [t for t in product(range(bound + 1), repeat=n) if oracle.member_T(t)]
     return minimal_terms(members)
 
 
@@ -219,21 +222,17 @@ def render_result(res: StaircaseResult) -> str:
 def parse_result(text: str) -> StaircaseResult:
     head, *lines = content_lines(text) or [""]
     k, bound, n, p = header(head, "generators", ("k", "D", "n", "p"))
-    if len(lines) < k + 2 or lines[k] != "basis":
-        raise ParseError("generator count does not match the header")
+    if len(lines) != 2 * k + 2 or lines[k] != "basis":
+        raise ParseError(f"a result needs {k} generators, a basis line and {k} basis elements")
     gens = [parse_term(ln, n) for ln in lines[:k]]
-    body = lines[k + 1 :]
-    if not body[-1].startswith("queries"):
-        raise ParseError("missing queries line")
-    try:
-        queries = int(body[-1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad queries line: {body[-1]!r}") from None
-    basis = tuple(parse_polynomial(ln, n, p) for ln in body[:-1])
+    queries = re.fullmatch(r"queries ([0-9]+)", lines[-1])
+    if not queries:
+        raise ParseError(f"bad queries line: {lines[-1]!r}")
+    basis = tuple(parse_polynomial(ln, n, p) for ln in lines[k + 1 : -1])
     return StaircaseResult(
         generators=frozenset(gens),
         reduced_basis=basis,
-        queries_used=queries,
+        queries_used=int(queries.group(1)),
         bound=bound,
         nvars=n,
         modulus=p,

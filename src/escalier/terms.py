@@ -1,22 +1,23 @@
-"""Commutative terms, term orders, box enumeration, and the term monoid.
+"""Commutative terms, term orders, and the term monoid.
 
 A term X1^a1 * ... * Xn^an is a plain tuple of n nonnegative ints; entry
 i-1 holds the exponent of Xi. Variable indices are 1-based everywhere,
 matching the X1..Xn naming of the text grammar, and every term order
 ranks the variables X1 < X2 < ... < Xn. All values are immutable
 and all operations are pure, so they are safe to share across threads.
-TermMonoid packages the operations a polynomial ring over terms needs.
+TermMonoid packages the operations a polynomial ring over terms needs,
+and is the one place that enumerates, multiplies and divides terms.
 
 The componentwise primitives are C-level ``map`` kernels over ``operator``
-functions; the public ones (divides, lcm, term_mul, term_div) still check
-arity, since ``map``, like ``zip``, would silently truncate.
+functions; the public ones (divides, lcm) still check arity, since
+``map``, like ``zip``, would silently truncate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Optional
 
@@ -38,27 +39,10 @@ def variable(n: int, i: int) -> Term:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
-def degree(t: Term) -> int:
-    return sum(t)
-
-
-def term_mul(a: Term, b: Term) -> Term:
-    _check_arity(a, b)
-    return tuple(map(add, a, b))
-
-
 def divides(a: Term, b: Term) -> bool:
     """True iff a divides b componentwise."""
     _check_arity(a, b)
     return all(map(le, a, b))
-
-
-def term_div(a: Term, b: Term) -> Term:
-    """Exact quotient a / b; raises when b does not divide a."""
-    _check_arity(a, b)
-    if not all(map(le, b, a)):
-        raise ValueError(f"{term_to_text(b)} does not divide {term_to_text(a)}")
-    return tuple(map(sub, a, b))
 
 
 def lcm(a: Term, b: Term) -> Term:
@@ -116,30 +100,6 @@ class TermOrder:
         return (sum(t), tuple(map(neg, t)))
 
 
-@dataclass(frozen=True)
-class Box:
-    """All terms with every exponent at most bound; (bound+1)**n terms."""
-
-    n: int
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one variable")
-        if self.bound < 0:
-            raise ValueError("bound must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return (self.bound + 1) ** self.n
-
-
-def box_enumerate(box: Box) -> Iterator[Term]:
-    """Yield each box term once, in deglex order."""
-    terms = product(range(box.bound + 1), repeat=box.n)
-    yield from sorted(terms, key=TermOrder("deglex").key)
-
-
 _FACTOR = re.compile(r"^X(\d+)(?:\^(\d+))?$")
 
 
@@ -183,7 +143,8 @@ class TermMonoid:
     """
 
     default_order = TermOrder("deglex")
-    degree = staticmethod(degree)
+    degree = staticmethod(sum)
+    of_degree = staticmethod(terms_of_degree)
     render = staticmethod(term_to_text)
     parse = staticmethod(parse_term)
 

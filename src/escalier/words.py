@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional
 
 from .errors import ParseError
 
@@ -32,10 +33,7 @@ def subword_occurrences(pattern: Word, w: Word) -> list[tuple[Word, Word]]:
 
 
 def is_factor(pattern: Word, w: Word) -> bool:
-    pattern = tuple(pattern)
-    w = tuple(w)
-    k = len(pattern)
-    return any(w[i : i + k] == pattern for i in range(len(w) - k + 1))
+    return WordMonoid.cofactor(tuple(pattern), tuple(w)) is not None
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,12 @@ class WordMonoid:
     @staticmethod
     def one(n: int) -> Word:
         return ()
+
+    @staticmethod
+    def of_degree(n: int, d: int) -> Iterator[Word]:
+        """Every word of length d over X1..Xn, the last letter running
+        fastest."""
+        return product(range(1, n + 1), repeat=d)
 
     @staticmethod
     def validate(w, n: int) -> Word:

@@ -358,6 +358,39 @@ class TestInputValidation:
         assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize("ring", ["n=3 p=32003", "n=2 p=7"])
+    def test_decrypt_cipher_from_another_ring(self, ring, tmp_path, capsys, monkeypatch):
+        # refused before any oracle exists: building one would fail here
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        cipher = tmp_path / "c.txt"
+        cipher.write_text(f"cipher {ring} delta=2\nX1 + 2\n")
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("ring", ["n=3 p=32003", "n=2 p=7"])
+    def test_attack_public_key_from_another_ring(self, ring, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        pub = tmp_path / "pub.key"
+        pub.write_text(f"publickey {ring} order=deglex dbound=1 delta=2\ng X1^2 + X2\nt 1\n")
+        assert run(["attack", "--private", str(priv), "--public", str(pub)]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["nc-recon", "nc-probe"])
+    @pytest.mark.parametrize("algebra", ["n=3 p=32003", "n=2 p=7"])
+    def test_free_files_from_two_algebras(self, command, algebra, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        priv = tmp_path / "nc.free"
+        priv.write_text(NC_PRIVATE)
+        pub = tmp_path / "pub.free"
+        pub.write_text(f"free {algebra}\nX1*X2\n")
+        flag = "--ideal" if command == "nc-recon" else "--private"
+        assert run([command, flag, str(priv), "--public", str(pub)]) == 2
+        _one_error_line(capsys)
+
     def test_keygen_oversized_noise(self, tmp_path, capsys, monkeypatch):
         # refused before any noise is drawn
         monkeypatch.setattr("escalier.crypto.random_polynomial", None)

@@ -96,11 +96,22 @@ def toy_keys_with_m5():
 class TestNoise:
     def test_random_polynomial_equals_a_validated_build(self):
         rng = random.Random(3)
-        for n, p, d in ((1, 7, 3), (2, 3, 2), (3, 32003, 2)):
+        cases = ((Polynomial, 1, 7, 3), (Polynomial, 2, 3, 2), (Polynomial, 3, 32003, 2))
+        for cls, n, p, d in cases + ((NcPolynomial, 3, 7, 2),):
             for _ in range(10):
-                f = random_polynomial(n, p, d, rng)
-                assert f == Polynomial(n, p, dict(f.items()))
+                f = random_polynomial(n, p, d, rng, cls)
+                assert type(f) is cls and f == cls(n, p, dict(f.items()))
                 assert f.degree() <= d and all(0 < c < p for _, c in f.items())
+
+    def test_word_noise_draws_shortest_words_first(self):
+        # one draw per word, lengths 0..max in turn, the last letter
+        # running fastest, so a seed gives the same noise on every version
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            f = random_polynomial(2, 7, 2, rng, NcPolynomial, 0.4)
+            words = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+            want = {w: ref.randrange(1, 7) for w in words if ref.random() < 0.4}
+            assert f == NcPolynomial(2, 7, want) and rng.random() == ref.random()
 
 
 class TestEncryptDecrypt:

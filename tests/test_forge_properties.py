@@ -47,7 +47,7 @@ SEEDS = range(160)
 def test_shifted_basis_is_the_completed_shifted_set():
     for seed in SEEDS:
         pair = random_pair(seed)
-        full = buchberger(list(pair.shifted_set), pair.order)
+        full = buchberger(list(pair.shifted_basis.elements), pair.order)
         assert tuple(pair.shifted_basis.elements) == tuple(full.elements), seed
         assert pair.shifted_basis.order == full.order
 

@@ -85,9 +85,12 @@ def ciphertexts(draw):
 @st.composite
 def results(draw):
     n, p = draw(st.integers(1, 3)), draw(PRIMES)
+    gens = frozenset(draw(st.lists(terms(n), max_size=4)))
+    # a result carries one basis element per generator
+    basis = st.lists(polynomials(Polynomial, terms(n), n, p), min_size=len(gens), max_size=len(gens))
     res = StaircaseResult(
-        generators=frozenset(draw(st.lists(terms(n), max_size=4))),
-        reduced_basis=tuple(draw(st.lists(polynomials(Polynomial, terms(n), n, p), max_size=3))),
+        generators=gens,
+        reduced_basis=tuple(draw(basis)),
         queries_used=draw(st.integers(0, 10**6)),
         bound=draw(st.integers(0, 12)),
         nvars=n,

@@ -75,6 +75,25 @@ class TestTwoVariables:
         assert brute_force_generators(o, 3, 2) == set()
         assert o.queries == 27
 
+    @pytest.mark.parametrize("n,bound,count", [(1, 2, 3), (2, 1, 4), (3, 8, 729)])
+    def test_brute_force_asks_each_box_term_once(self, n, bound, count):
+        asked = []
+
+        class Recorder:
+            def member_T(self, t):
+                asked.append(t)
+                return False
+
+        assert brute_force_generators(Recorder(), n, bound) == set()
+        assert len(asked) == len(set(asked)) == count
+        assert all(len(t) == n and max(t) <= bound for t in asked)
+
+    def test_brute_force_refuses_a_negative_bound(self):
+        o = zero_oracle(2)
+        with pytest.raises(ValueError):
+            brute_force_generators(o, 2, -1)
+        assert o.queries == 0
+
     def test_brute_force_refuses_a_huge_box(self):
         # 101^3 terms, just over the limit: refused before any query
         o = zero_oracle(3)
@@ -212,3 +231,23 @@ class TestSerialization:
     def test_zero_variables_refused(self):
         with pytest.raises(ParseError):
             parse_result("generators k=0 D=2 n=0 p=7\nbasis\nqueries 1\n")
+
+    @pytest.mark.parametrize(
+        "queries", ["queries -5", "queries 12 13", "queries", "queries x", "query 3", "queries 1.5"]
+    )
+    def test_bad_queries_line_refused(self, queries):
+        text = render_result(reconstruct(monomial_oracle(EX52, 2), 2, 4))
+        head, _, _ = text.rstrip("\n").rpartition("\n")
+        assert parse_result(f"{head}\nqueries 7\n").queries_used == 7
+        with pytest.raises(ParseError):
+            parse_result(f"{head}\n{queries}\n")
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_basis_of_another_size_refused(self, extra):
+        # the header's k counts the generators and the basis elements alike
+        res = reconstruct(monomial_oracle(EX51, 2), 2, 8)
+        lines = render_result(res).splitlines()
+        cut = lines.index("basis") + 1
+        body = lines[cut:-1] + ["X1^9"] if extra > 0 else lines[cut:-2]
+        with pytest.raises(ParseError):
+            parse_result("\n".join(lines[:cut] + body + lines[-1:]) + "\n")

@@ -4,17 +4,12 @@ import pytest
 
 from escalier.errors import ParseError
 from escalier.terms import (
-    Box,
     TermMonoid,
     TermOrder,
-    box_enumerate,
-    degree,
     divides,
     lcm,
     minimal_terms,
     parse_term,
-    term_div,
-    term_mul,
     term_to_text,
     terms_of_degree,
     variable,
@@ -52,6 +47,7 @@ class TestTermsOfDegree:
 
     def test_combinations_order(self):
         assert list(terms_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+        assert TermMonoid.of_degree is terms_of_degree
 
 
 class TestCompare:
@@ -88,7 +84,7 @@ class TestCompare:
                 b = random_term(rng, 3, 4)
                 c = random_term(rng, 3, 4)
                 if compare(order, a, b) == -1:
-                    assert compare(order, term_mul(a, c), term_mul(b, c)) == -1
+                    assert compare(order, TermMonoid.mul(a, c), TermMonoid.mul(b, c)) == -1
 
     def test_antisymmetric_transitive(self):
         rng = random.Random(2)
@@ -129,22 +125,20 @@ class TestDivisibility:
         assert lcm((1, 2), (2, 1)) == (2, 2)
 
     def test_term_div(self):
-        assert term_div((3, 2), (1, 2)) == (2, 0)
-        with pytest.raises(ValueError):
-            term_div((1, 2), (2, 0))
+        # exact division is the monoid's cofactor: t / lead, or None
+        assert TermMonoid.cofactor((1, 2), (3, 2)) == (2, 0)
+        assert TermMonoid.cofactor((2, 0), (1, 2)) is None
 
 
 class TestPredecessor:
-    """The predecessor t / Xi, taken with term_div and variable."""
+    """The predecessor t / Xi, taken with the monoid's cofactor and variable."""
 
     def test_decrement(self):
-        assert term_div((2, 1), variable(2, 2)) == (2, 0)
+        assert TermMonoid.cofactor(variable(2, 2), (2, 1)) == (2, 0)
 
     def test_absent(self):
-        with pytest.raises(ValueError):
-            term_div((2, 0), variable(2, 2))
-        with pytest.raises(ValueError):
-            term_div((0, 0), variable(2, 1))
+        assert TermMonoid.cofactor(variable(2, 2), (2, 0)) is None
+        assert TermMonoid.cofactor(variable(2, 1), (0, 0)) is None
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -157,32 +151,7 @@ class TestPredecessor:
             for i in range(1, 4):
                 unit = variable(3, i)
                 if t[i - 1] > 0:
-                    assert term_mul(term_div(t, unit), unit) == t
-
-
-class TestBox:
-    @pytest.mark.parametrize(
-        "n,bound,count", [(1, 2, 3), (2, 1, 4), (3, 8, 729)]
-    )
-    def test_counts(self, n, bound, count):
-        box = Box(n, bound)
-        assert box.size == count
-        terms = list(box_enumerate(box))
-        assert len(terms) == count
-        assert len(set(terms)) == count
-
-    def test_graded_order(self):
-        terms = list(box_enumerate(Box(2, 3)))
-        degrees = [degree(t) for t in terms]
-        assert degrees == sorted(degrees)
-        # deterministic under repetition
-        assert terms == list(box_enumerate(Box(2, 3)))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Box(0, 3)
-        with pytest.raises(ValueError):
-            Box(2, -1)
+                    assert TermMonoid.mul(TermMonoid.cofactor(unit, t), unit) == t
 
 
 class TestText:
@@ -222,7 +191,7 @@ def test_minimal_terms():
 class TestKernels:
     """The map kernels against their componentwise definitions."""
 
-    @pytest.mark.parametrize("op", [divides, lcm, term_mul, term_div])
+    @pytest.mark.parametrize("op", [divides, lcm])
     def test_arity_mismatch_raises(self, op):
         for a, b in (((1, 0), (1, 0, 0)), ((0, 0, 2), (0, 0)), ((), (1,))):
             with pytest.raises(ValueError, match="variable counts differ"):
@@ -237,15 +206,10 @@ class TestKernels:
             divisible = all(x <= y for x, y in pairs)
             assert divides(a, b) == divisible
             assert lcm(a, b) == tuple(max(x, y) for x, y in pairs)
-            assert term_mul(a, b) == tuple(x + y for x, y in pairs)
+            assert TermMonoid.mul(a, b) == tuple(x + y for x, y in pairs)
             quotient = tuple(y - x for x, y in pairs)
             assert TermMonoid.cofactor(a, b) == (quotient if divisible else None)
-            assert TermMonoid.apply(a, b) == term_mul(a, b)
-            if divisible:
-                assert term_div(b, a) == quotient
-            else:
-                with pytest.raises(ValueError):
-                    term_div(b, a)
+            assert TermMonoid.apply(a, b) == TermMonoid.mul(a, b)
             for order in (LEX, DEGLEX, DEGREVLEX):
                 rev = tuple(reversed(a))
                 want = {

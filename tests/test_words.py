@@ -59,6 +59,19 @@ class TestOccurrences:
             for left, right in subword_occurrences(pat, w):
                 assert WordMonoid.apply((left, right), pat) == w
             assert bool(subword_occurrences(pat, w)) == is_factor(pat, w)
+            # the cofactor is the leftmost occurrence
+            assert WordMonoid.cofactor(pat, w) == next(iter(subword_occurrences(pat, w)), None)
+
+
+class TestOfDegree:
+    def test_frontier_order(self):
+        # every word of length d once, each length grown from the previous
+        # one letter at a time, the last letter running fastest
+        for n in (1, 2, 3):
+            frontier = [()]
+            for d in range(4):
+                assert list(WordMonoid.of_degree(n, d)) == frontier
+                frontier = [w + (i,) for w in frontier for i in range(1, n + 1)]
 
 
 class TestOrder:
