@@ -11,18 +11,16 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import crypto, forge
 from .errors import ParseError
-from .field import is_prime
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
 from .polynomials import (
-    Polynomial,
     Reducer,
-    buchberger,
     parse_ideal_file,
     parse_polynomial,
     render_ideal_file,
@@ -40,13 +38,8 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_ideal(path, order_override=None, p_override=None):
+def _load_ideal(path, order_override=None):
     n, p, order, polys = parse_ideal_file(Path(path).read_text())
-    if p_override is not None:
-        if not is_prime(p_override):
-            raise ParseError(f"modulus {p_override} is not prime")
-        p = p_override
-        polys = [Polynomial(n, p, dict(f.items())) for f in polys]
     if order_override:
         order = TermOrder(order_override)
     return n, p, order, polys
@@ -70,7 +63,7 @@ def _free_oracle(private, public):
 
 
 def _cmd_recon(args) -> int:
-    n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+    n, p, order, polys = _load_ideal(args.ideal, args.order)
     _check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound, binary=args.binary_search)
@@ -93,7 +86,7 @@ def _cmd_nc_recon(args) -> int:
 
 
 def _cmd_forge(args) -> int:
-    n, p, order, polys = _load_ideal(args.j, args.order, args.p)
+    n, p, order, polys = _load_ideal(args.j, args.order)
     pair = forge.build_counterexample(polys, order, args.delta)
     if args.out:
         stem = Path(args.out)
@@ -114,16 +107,14 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
-    basis = buchberger(polys, order)
+    n, p, order, polys = _load_ideal(args.ideal, args.order)
+    rng = random.Random(args.seed)
     try:
-        crypto.check_key_size(n, args.noise_degree, len(basis.elements), args.public_count)
+        keys = crypto.keygen(
+            polys, order, args.public_count, args.noise_degree, args.message_terms, rng
+        )
     except ValueError as e:
         raise ParseError(str(e)) from None
-    rng = random.Random(args.seed)
-    keys = crypto.keygen(
-        basis, order, args.public_count, args.noise_degree, args.message_terms, rng
-    )
     Path(args.out_private).write_text(
         render_ideal_file(keys.basis.elements, keys.basis.order, n, p)
     )
@@ -185,16 +176,15 @@ def _cmd_verify_gb(args) -> int:
     head = text.lstrip().split(None, 1)[0] if text.strip() else ""
     ok = True
     if head == "free":
-        for flag in ("order", "p"):
-            if getattr(args, flag) is not None:
-                raise ParseError(f"--{flag} does not apply to a free-algebra file")
+        if args.order is not None:
+            raise ParseError("--order does not apply to a free-algebra file")
         n, p, polys = parse_free_file(text)
         order = WordMonoid.default_order
         monic = [g.monic(order) for g in polys if not g.is_zero()]
         ok = overlap_check(Reducer(monic, order))
         print(f"ambiguities resolve: {ok}")
     else:
-        n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+        n, p, order, polys = _load_ideal(args.ideal, args.order)
         for i, j, r in s_pair_remainders(polys, order):
             line = "0" if r.is_zero() else r.to_text(order)
             state = "ok" if r.is_zero() else "remainder"
@@ -205,14 +195,14 @@ def _cmd_verify_gb(args) -> int:
 
 
 def _cmd_bench_queries(args) -> int:
-    n, p, order, polys = _load_ideal(args.ideal, args.order, args.p)
+    n, p, order, polys = _load_ideal(args.ideal, args.order)
     _check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound)
-    brute_oracle = oracle.fresh_copy()
-    brute = brute_force_generators(brute_oracle, n, args.bound)
+    before = oracle.queries
+    brute = brute_force_generators(oracle, n, args.bound)
     print(f"reconstruct queries {res.queries_used}")
-    print(f"brute force queries {brute_oracle.queries}")
+    print(f"brute force queries {oracle.queries - before}")
     print(f"agree {res.generators == frozenset(brute)}")
     return 0
 
@@ -222,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="escalier",
         description="staircase reconstruction from canonical-form oracles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags match whole: an unknown flag is refused, never read as a longer one
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
-    def common(sp, *, out=True, queries=True, p=True, order=False):
+    def common(sp, *, out=True, queries=True, order=False):
         if out:
             sp.add_argument("--out", help="output file (default stdout)")
         if queries:
             sp.add_argument("--queries", action="store_true", help="print the ledger")
-        if p:
-            sp.add_argument("--p", type=int, help="reinterpret coefficients mod this prime")
         if order:
             sp.add_argument(
                 "--order", choices=["lex", "deglex", "degrevlex"], help="override the file order"
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nc-recon", help="free-algebra covering basis")
     sp.add_argument("--ideal", required=True, help="private verified basis file")
     sp.add_argument("--public", required=True, help="public polynomials file")
-    common(sp, p=False)
+    common(sp)
     sp.set_defaults(handler=_cmd_nc_recon)
 
     sp = sub.add_parser("forge", help="build the bound-necessity ideal pair")
@@ -271,20 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--public", required=True)
     sp.add_argument("--message", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, queries=False, p=False)
+    common(sp, queries=False)
     sp.set_defaults(handler=_cmd_encrypt)
 
     sp = sub.add_parser("decrypt", help="decrypt a ciphertext file")
     sp.add_argument("--private", required=True)
     sp.add_argument("--cipher", required=True)
-    common(sp, out=False, p=False)
+    common(sp, out=False)
     sp.set_defaults(handler=_cmd_decrypt)
 
     sp = sub.add_parser("attack", help="reconstruct the basis via the oracle")
     sp.add_argument("--private", required=True, help="builds the decryption oracle")
     sp.add_argument("--public", required=True)
     sp.add_argument("--bound", type=int, help="default: the public degree cap")
-    common(sp, p=False)
+    common(sp)
     sp.set_defaults(handler=_cmd_attack)
 
     sp = sub.add_parser("nc-probe", help="free-algebra decryption probe")
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--public", required=True)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, out=False, queries=False, p=False)
+    common(sp, out=False, queries=False)
     sp.set_defaults(handler=_cmd_nc_probe)
 
     sp = sub.add_parser("verify-gb", help="check the Groebner property")

@@ -108,9 +108,9 @@ def keygen(
     order-smallest normal terms as the message alphabet.
 
     Restricted to degree-compatible orders: the published degree cap and
-    the normal-term enumeration both ride on total degree. A key whose
-    noise would be too large (check_key_size) is refused before any noise
-    is drawn.
+    the normal-term enumeration both ride on total degree. Another order
+    is refused before the basis is completed, and a key whose noise would
+    be too large (check_key_size) before any noise is drawn.
     """
     if count_public < 1 or noise_degree < 0 or message_terms < 0:
         raise ValueError(
@@ -118,10 +118,10 @@ def keygen(
         )
     if isinstance(generators, GroebnerBasis):
         basis, order = generators, generators.order
-    else:
-        basis = buchberger(list(generators), order)
     if not order.degree_compatible:
         raise ValueError("key generation needs a degree-compatible order")
+    if not isinstance(generators, GroebnerBasis):
+        basis = buchberger(list(generators), order)
     n, p = basis.elements[0].n, basis.elements[0].p
     check_key_size(n, noise_degree, len(basis.elements), count_public)
     leads = basis.leading_terms()

@@ -9,11 +9,15 @@ Below the threshold the two ideals are indistinguishable, so any
 box-bounded reconstruction run with too small a bound returns the
 shifted ideal's staircase instead of the full one.
 
+The cap lead is read off the leads of G. Write D for the cap degree: a
+leading-ideal term of degree D is l*m for some lead l, and every graded
+order ranks X1 smallest, so l*m is never below l*X1^(D - deg l) (Cox,
+Little & O'Shea, Ideals, Varieties, and Algorithms, 2.2).
+
 Only the extended ideal is completed: multiplying by a monomial keeps
 leads, reduced tails and element order, so X2*G is the reduced basis of
 X2*J, and the extended set is a Groebner basis iff its leads include
-every lead of the extended reduced basis (Cox, Little & O'Shea, Ideals,
-Varieties, and Algorithms, 2.5-2.7).
+every lead of the extended reduced basis (ibid., 2.5-2.7).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Union
 from .oracle import CanOracle
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, gb_degree, normal_form
 from .staircase import reconstruct
-from .terms import Term, TermOrder, divides, minimal_terms, term_to_text, terms_of_degree, variable
+from .terms import Term, TermOrder, term_to_text, variable
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,6 @@ class ForgedPair:
     n: int
     p: int
 
-    def extended_oracle(self) -> CanOracle:
-        return CanOracle.commutative(self.extended_basis)
-
 
 def build_counterexample(
     generators: Union[GroebnerBasis, Iterable[Polynomial]],
@@ -55,48 +56,36 @@ def build_counterexample(
 ) -> ForgedPair:
     """Build the agreeing-then-diverging ideal pair from a basis of J.
 
-    Needs a degree-compatible order and agree_degree at least one more
-    than the largest basis degree. The cap lead is found by explicit
-    minimization over all leading-ideal terms of degree agree_degree + 1;
-    the padded closed form (smallest-degree, order-smallest basis lead
-    times a pure X1 power) is recomputed and compared, not trusted.
+    Needs a degree-compatible order and at least two variables, both
+    checked before any completion, and agree_degree at least one more
+    than the largest basis degree. The cap lead is the order-smallest
+    padded lead l*X1^(D - deg l), D = agree_degree + 1: any other
+    multiple of l of degree D has its X2..Xn exponents at least as large,
+    one of them larger, so its X1 exponent smaller, and ranks above under
+    deglex and degrevlex alike. closed_form_matches reports whether the
+    padded smallest lead alone gives the cap, which it need not.
     """
     if isinstance(generators, GroebnerBasis):
-        base, order = generators, generators.order
+        order, gens = generators.order, generators.elements
     else:
-        base = buchberger(list(generators), order)
+        gens = tuple(generators)
     if not order.degree_compatible:
         raise ValueError("the construction needs a degree-compatible order")
-    n, p = base.elements[0].n, base.elements[0].p
-    if n < 2:
+    if gens and gens[0].n < 2:
         raise ValueError("the construction needs at least two variables")
+    base = generators if isinstance(generators, GroebnerBasis) else buchberger(gens, order)
+    n, p = base.elements[0].n, base.elements[0].p
     if agree_degree < gb_degree(base) + 1:
         raise ValueError(
             f"agreement degree must be at least {gb_degree(base) + 1}"
         )
 
-    leads = base.leading_terms()
-    candidates = [
-        t
-        for t in terms_of_degree(n, agree_degree + 1)
-        if any(divides(lt, t) for lt in leads)
-    ]
-    if not candidates:
-        raise ValueError("no leading-ideal term at the cap degree")
-    cap_lead = min(candidates, key=order.key)
+    def pad(t: Term) -> Term:
+        return (t[0] + agree_degree + 1 - sum(t),) + t[1:]
 
-    # padded closed form: smallest-degree element (ties by smaller lead),
-    # multiplied up to the cap degree by the cheapest variable
-    low = min(
-        base.elements,
-        key=lambda g: (g.degree(), order.key(g.leading_term(order))),
-    )
-    pad = agree_degree + 1 - low.degree()
-    padded = tuple(
-        e + (pad if i == 0 else 0)
-        for i, e in enumerate(low.leading_term(order))
-    )
-    closed_form_matches = padded == cap_lead
+    leads = base.leading_terms()
+    cap_lead = min(map(pad, leads), key=order.key)
+    closed_form_matches = pad(min(leads, key=order.key)) == cap_lead
 
     cap_term = Polynomial.term(cap_lead, p)
     cap_poly = cap_term - normal_form(cap_term, Reducer(base.elements, order))
@@ -147,22 +136,15 @@ def demonstrate_bound_necessity(pair: ForgedPair) -> BoundDemo:
     agreement degree and one above it, and report what each returns."""
     small, big = pair.agree_degree, pair.agree_degree + 1
 
-    oracle = pair.extended_oracle()
+    oracle = CanOracle.commutative(pair.extended_basis)
     res_small = reconstruct(oracle, pair.n, small)
-    res_big = reconstruct(oracle.fresh_copy(), pair.n, big)
-
-    def in_box(t: Term, bound: int) -> bool:
-        return all(e <= bound for e in t)
-
+    res_big = reconstruct(oracle, pair.n, big)
+    # the leads of a reduced basis are its minimal generators
     expected_small = frozenset(
-        t
-        for t in minimal_terms(pair.shifted_basis.leading_terms())
-        if in_box(t, small)
+        t for t in pair.shifted_basis.leading_terms() if max(t) <= small
     )
     expected_big = frozenset(
-        t
-        for t in minimal_terms(pair.extended_basis.leading_terms())
-        if in_box(t, big)
+        t for t in pair.extended_basis.leading_terms() if max(t) <= big
     )
     return BoundDemo(
         bound_small=small,

@@ -15,12 +15,13 @@ every ambiguity resolves), so reduction is linear: the normal form of f
 is the sum of c * Can(t) over the terms of f, and can_poly answers with
 that one reduction.
 
-Every answer is reduced over one Reducer, prepared once per basis and
-shared by fresh_copy, which remembers the reduction step of each
-monomial it has reduced. The memory saves computation only: the ledger
-charges every query exactly as without it. It grows with the distinct
-monomials the oracle has reduced, and lives as long as the oracle and
-its copies, which a long serve session should bear in mind.
+Every answer is reduced over one Reducer, prepared once per basis,
+which remembers the reduction step of each monomial it has reduced. The
+memory saves computation only: the ledger charges every query exactly as
+without it. It grows with the distinct monomials the oracle has reduced,
+and lives as long as the oracle, which a long serve session should bear
+in mind. Answers never depend on the ledger, so callers that run several
+sessions over one oracle measure each as a difference of queries.
 """
 
 from __future__ import annotations
@@ -104,13 +105,6 @@ class CanOracle:
         if not overlap_check(reducer):
             raise ValueError("basis fails the overlap confluence check")
         return cls._build(NcPolynomial, reducer, elems[0].n, elems[0].p)
-
-    def fresh_copy(self) -> "CanOracle":
-        """Same sealed ideal, order and Reducer, ledger reset to zero."""
-        copy = object.__new__(CanOracle)
-        vars(copy).update(vars(self))
-        copy.__count = 0
-        return copy
 
     # --- public ring data ----------------------------------------------
 

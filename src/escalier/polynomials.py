@@ -86,9 +86,6 @@ class Polynomial:
     def items(self):
         return self._coeffs.items()
 
-    def coefficient(self, t) -> int:
-        return self._coeffs.get(tuple(t), 0)
-
     def degree(self) -> int:
         """Total degree (word length); -1 for the zero polynomial."""
         return max(map(self.monoid.degree, self._coeffs), default=-1)

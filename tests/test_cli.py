@@ -19,6 +19,16 @@ X1^2 + X2
 X2^2 + 1
 """
 
+# completed in a fraction of a second under deglex, slowly under lex
+SLOW_UNDER_LEX = """ring n=3 p=3 order=deglex
+X1^3*X2^3*X3^2 + X1^3*X2^2 + X1*X3^2 + X1*X3 + X1
+2*X2^3*X3^3
+2*X1^3*X2^3*X3^3 + 2*X2^2*X3^2 + X2^3
+2*X1^2*X2^2*X3^3 + X1^2*X2*X3^2 + 2*X1*X2*X3 + 2*X1*X2
+X1^2*X2^3*X3^2 + X1^2*X3^3 + 2*X2^3 + 2*X3
+2*X1^3*X2^6*X3^5 + 2*X1^3*X2^5*X3^3 + 2*X1*X2^3*X3^5 + 2*X1*X2^3*X3^4 + 2*X1*X2^3*X3^3
+"""
+
 NC_PRIVATE = """free n=2 p=32003
 X1*X2
 X2*X1
@@ -65,13 +75,6 @@ class TestRecon:
         path.write_text("not a header\nX1\n")
         assert run(["recon", "--ideal", str(path), "--bound", "4"]) == 2
 
-    def test_prime_override(self, ex51, capsys):
-        code = run(["recon", "--ideal", str(ex51), "--bound", "8", "--p", "7"])
-        assert code == 0
-        res = parse_result(capsys.readouterr().out)
-        assert res.modulus == 7
-        assert res.generators == {(2, 2), (1, 3), (4, 1), (0, 8)}
-
     def test_binary_search_flag(self, ex51, capsys):
         code = run(["recon", "--ideal", str(ex51), "--bound", "8", "--binary-search"])
         assert code == 0
@@ -95,9 +98,9 @@ class TestVerifyGb:
         path.write_text(NC_PRIVATE)
         assert run(["verify-gb", "--ideal", str(path)]) == 0
 
-    @pytest.mark.parametrize("flags", [["--order", "lex"], ["--p", "11"]])
+    @pytest.mark.parametrize("flags", [["--order", "lex"]])
     def test_nc_file_refuses_ring_flags(self, flags, tmp_path, capsys):
-        # a free-algebra file has one word order and its own modulus
+        # a free-algebra file has one word order
         path = tmp_path / "nc.free"
         path.write_text(NC_PRIVATE)
         assert run(["verify-gb", "--ideal", str(path)] + flags) == 2
@@ -229,6 +232,16 @@ class TestForge:
         path = tmp_path / "j.ideal"
         path.write_text("ring n=2 p=32003 order=degrevlex\nX1^2\n")
         assert run(["forge", "--j", str(path), "--delta", "1"]) == 1
+
+    def test_large_delta(self, tmp_path, capsys):
+        # the cap lead comes from the basis leads, not from listing the
+        # 1,503 * 1,502 / 2 terms of degree 1501
+        path = tmp_path / "j.ideal"
+        path.write_text("ring n=3 p=32003 order=deglex\nX1^2 - X3\nX2^2 + X1\n")
+        assert run(["forge", "--j", str(path), "--delta", "1500", "--demo"]) == 0
+        out = capsys.readouterr().out
+        assert "cap element X1^1501 + 32002*X1*X3^750\n" in out
+        assert "outputs differ: True\n" in out
 
 
 class TestNcCommands:
@@ -402,9 +415,29 @@ class TestInputValidation:
         _one_error_line(capsys)
         assert not (tmp_path / "pub").exists()
 
-    @pytest.mark.parametrize("modulus", ["8", "-5", "0"])
-    def test_bad_prime_override(self, modulus, ex51, capsys):
-        argv = ["recon", "--ideal", str(ex51), "--bound", "4", "--p", modulus]
+    def test_no_flag_prefixes(self, tmp_path, capsys):
+        # flags are matched whole: --public is not read as --public-count
+        ring = tmp_path / "key.ideal"
+        ring.write_text(KEYRING)
+        argv = ["keygen", "--ideal", str(ring), "--public", "7"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
+        assert run(argv) == 2
+        assert not (tmp_path / "pub").exists()
+
+    def test_forge_refuses_lex_before_completion(self, tmp_path, capsys, monkeypatch):
+        # completing this basis under lex is slow; it must not start
+        monkeypatch.setattr("escalier.forge.buchberger", None)
+        ring = tmp_path / "slow.ideal"
+        ring.write_text(SLOW_UNDER_LEX)
+        assert run(["forge", "--j", str(ring), "--delta", "20", "--order", "lex"]) == 1
+        _one_error_line(capsys)
+
+    def test_keygen_refuses_lex_before_completion(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("escalier.crypto.buchberger", None)
+        ring = tmp_path / "slow.ideal"
+        ring.write_text(SLOW_UNDER_LEX)
+        argv = ["keygen", "--ideal", str(ring), "--order", "lex"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
         assert run(argv) == 2
         _one_error_line(capsys)
 

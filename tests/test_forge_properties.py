@@ -1,19 +1,23 @@
 """The forge's shortcuts against the computations they stand for.
 
-build_counterexample reads the shifted ideal's reduced basis and the
-Groebner test of the extended set off data it already holds, and
-demonstrate_bound_necessity runs both reconstructions over one prepared
-oracle. These properties draw seeded random ideals in 2-3 variables over
-several primes, under deglex and degrevlex, and compare each shortcut
-with the full computation: buchberger on the shifted set, the all-pairs
-is_groebner on the extended set, and two separately built oracles.
+build_counterexample reads the cap lead, the shifted ideal's reduced
+basis and the Groebner test of the extended set off data it already
+holds, and demonstrate_bound_necessity runs both reconstructions over one
+prepared oracle. These properties draw seeded random ideals in 2-3
+variables over several primes, under deglex and degrevlex, and compare
+each shortcut with the full computation: the smallest leading-ideal term
+among all terms of the cap degree, buchberger on the shifted set, the
+all-pairs is_groebner on the extended set, and two separately built
+oracles.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from escalier.forge import BoundDemo, build_counterexample, demonstrate_bound_necessity
+from escalier.oracle import CanOracle
 from escalier.polynomials import Polynomial, buchberger, gb_degree, is_groebner
 from escalier.staircase import reconstruct
 from escalier.terms import TermOrder, minimal_terms
@@ -44,6 +48,23 @@ def random_pair(seed: int):
 SEEDS = range(160)
 
 
+def test_cap_lead_is_the_smallest_lead_ideal_term_of_its_degree():
+    outcomes = set()
+    for seed in SEEDS:
+        pair = random_pair(seed)
+        d = pair.agree_degree + 1
+        leads = pair.base.leading_terms()
+        candidates = [
+            t
+            for t in product(range(d + 1), repeat=pair.n)
+            if sum(t) == d and any(all(a <= b for a, b in zip(l, t)) for l in leads)
+        ]
+        assert pair.cap_lead == min(candidates, key=pair.order.key), seed
+        outcomes.add(pair.closed_form_matches)
+    # the padded smallest lead must both hit and miss the cap in the draw
+    assert outcomes == {True, False}
+
+
 def test_shifted_basis_is_the_completed_shifted_set():
     for seed in SEEDS:
         pair = random_pair(seed)
@@ -67,8 +88,8 @@ def test_extended_groebner_flag_is_the_all_pairs_test():
 def test_demo_equals_two_separate_oracles(seed):
     pair = random_pair(seed)
     small, big = pair.agree_degree, pair.agree_degree + 1
-    res_small = reconstruct(pair.extended_oracle(), pair.n, small)
-    res_big = reconstruct(pair.extended_oracle(), pair.n, big)
+    res_small = reconstruct(CanOracle.commutative(pair.extended_basis), pair.n, small)
+    res_big = reconstruct(CanOracle.commutative(pair.extended_basis), pair.n, big)
     expected_small = frozenset(
         t for t in minimal_terms(pair.shifted_basis.leading_terms()) if max(t) <= small
     )

@@ -112,12 +112,6 @@ class TestLedger:
         o.can_poly(f)
         assert o.queries == 3
 
-    def test_fresh_copy_resets(self):
-        o = toy_oracle()
-        o.member_T((2, 0))
-        c = o.fresh_copy()
-        assert c.queries == 0 and o.queries == 1
-        assert c.can_term((2, 0)) == o.can_term((2, 0))
 
 
 class TestSealing:
@@ -150,16 +144,14 @@ class TestMasked:
     def test_trivial_decomposition(self):
         o = toy_oracle()
         one = Polynomial.constant(2, P, 1)
-        assert o.masked_can((2, 0), [(one, one)]) == o.fresh_copy().can_term((2, 0))
+        assert o.masked_can((2, 0), [(one, one)]) == o.can_term((2, 0))
 
     def test_scalar_split(self):
         o = toy_oracle()
         c = Polynomial.constant(2, P, 12)
         rest = Polynomial.constant(2, P, 1 - 12)
         one = Polynomial.constant(2, P, 1)
-        assert o.masked_can((2, 0), [(c, one), (rest, one)]) == o.fresh_copy().can_term(
-            (2, 0)
-        )
+        assert o.masked_can((2, 0), [(c, one), (rest, one)]) == o.can_term((2, 0))
 
     def test_random_polynomial_splits(self):
         rng = random.Random(3)
@@ -171,7 +163,7 @@ class TestMasked:
             rest = one - left
             t = (2, 0)
             got = o.masked_can(t, [(left, one), (rest, one)])
-            assert got == o.fresh_copy().can_term(t)
+            assert got == o.can_term(t)
 
     def test_bad_decomposition(self):
         o = toy_oracle()
@@ -214,7 +206,7 @@ class TestNcOracle:
         half = NcPolynomial.constant(2, P, 9)
         rest = NcPolynomial.constant(2, P, 1 - 9)
         t = (1, 2, 2)
-        assert o.masked_can(t, [(half, one), (one, rest)]) == o.fresh_copy().can_term(t)
+        assert o.masked_can(t, [(half, one), (one, rest)]) == o.can_term(t)
 
 
 class TestProtocol:
