@@ -15,7 +15,6 @@ from .crypto import (
     recover_basis_element,
 )
 from .errors import ParseError
-from .field import DEFAULT_PRIME
 from .forge import BoundDemo, ForgedPair, build_counterexample, demonstrate_bound_necessity
 from .nc_polynomials import NcPolynomial, overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle, serve, serve_line

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import crypto, forge
@@ -87,7 +86,10 @@ def _cmd_nc_recon(args) -> int:
 
 def _cmd_forge(args) -> int:
     n, p, order, polys = _load_ideal(args.j, args.order)
-    pair = forge.build_counterexample(polys, order, args.delta)
+    try:
+        pair = forge.build_counterexample(polys, order, args.delta)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     if args.out:
         stem = Path(args.out)
         Path(f"{stem}.shifted.ideal").write_text(
@@ -207,14 +209,22 @@ def _cmd_bench_queries(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags match whole, and a usage error raises ParseError: one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="escalier",
         description="staircase reconstruction from canonical-form oracles",
     )
-    # flags match whole: an unknown flag is refused, never read as a longer one
-    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, out=True, queries=True, order=False):
         if out:
@@ -304,18 +314,13 @@ _LEAST = {"bound": 0, "public_count": 1, "noise_degree": 0, "message_terms": 0, 
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-    for name, least in _LEAST.items():
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return 2
-    try:
+        args = build_parser().parse_args(argv)
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} must be at least {least}, got {value}")
         return args.handler(args)
     except (ParseError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import ParseError
 from .nc_polynomials import NcPolynomial
@@ -97,31 +97,29 @@ class Ciphertext:
 
 
 def keygen(
-    generators: Union[GroebnerBasis, Iterable[Polynomial]],
+    generators: Iterable[Polynomial],
     order: TermOrder,
     count_public: int,
     noise_degree: int,
     message_terms: int,
     rng: random.Random,
 ) -> KeyPair:
-    """Private reduced basis, public ideal combinations, and the
-    order-smallest normal terms as the message alphabet.
+    """Private reduced basis of the generators, public ideal combinations,
+    and the order-smallest normal terms as the message alphabet.
 
     Restricted to degree-compatible orders: the published degree cap and
     the normal-term enumeration both ride on total degree. Another order
-    is refused before the basis is completed, and a key whose noise would
-    be too large (check_key_size) before any noise is drawn.
+    is refused before the basis is completed, a key whose noise would be
+    too large (check_key_size) before any noise is drawn, and a walk for
+    normal terms before a layer takes it past _MAX_BOX_TERMS terms.
     """
     if count_public < 1 or noise_degree < 0 or message_terms < 0:
         raise ValueError(
             "keygen needs count_public >= 1, noise_degree >= 0 and message_terms >= 0"
         )
-    if isinstance(generators, GroebnerBasis):
-        basis, order = generators, generators.order
     if not order.degree_compatible:
         raise ValueError("key generation needs a degree-compatible order")
-    if not isinstance(generators, GroebnerBasis):
-        basis = buchberger(list(generators), order)
+    basis = buchberger(generators, order)
     n, p = basis.elements[0].n, basis.elements[0].p
     check_key_size(n, noise_degree, len(basis.elements), count_public)
     leads = basis.leading_terms()
@@ -131,18 +129,15 @@ def keygen(
     # normal terms: walk degree layers in order until enough survive;
     # an empty layer means none of higher degree exist either
     normal: list[Term] = []
-    d = 0
+    walked = d = 0
     while len(normal) < message_terms:
-        layer = [
-            t
-            for t in sorted(terms_of_degree(n, d), key=order.key)
-            if not any(divides(lt, t) for lt in leads)
-        ]
+        walked += comb(n + d - 1, d)
+        if walked > _MAX_BOX_TERMS:
+            raise ValueError(f"finding {message_terms} normal terms walks past {_MAX_BOX_TERMS}")
+        layer = [t for t in terms_of_degree(n, d) if not any(divides(lt, t) for lt in leads)]
         if d > 0 and not layer:
-            raise ValueError(
-                f"only {len(normal)} normal terms exist, {message_terms} requested"
-            )
-        normal.extend(layer)
+            raise ValueError(f"only {len(normal)} normal terms exist, {message_terms} requested")
+        normal.extend(sorted(layer, key=order.key))
         d += 1
     normal = normal[:message_terms]
 

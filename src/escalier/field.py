@@ -1,11 +1,9 @@
 """Prime-field coefficient helpers.
 
 Coefficients are plain integers in [0, p); every ring-carrying object
-stores its modulus p. The default prime is the usual computer-algebra
-workhorse 32003.
+stores its modulus p, which the caller always supplies: there is no
+default prime.
 """
-
-DEFAULT_PRIME = 32003
 
 
 def is_prime(p: int) -> bool:

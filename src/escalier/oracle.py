@@ -162,23 +162,15 @@ class CanOracle:
         """Canonical form of t asked through a masking decomposition.
 
         decomposition is a list of polynomial pairs (l, r) whose combined
-        products satisfy sum(l * t * r) = t; the identity is checked, the
+        products satisfy sum(l * t * r) = t, checked before any query; the
         masked answers are summed, and the result equals can_term(t).
         """
         term = self._term_poly(self.__monoid.validate(t, self.__n))
-        pieces = []
-        total = None
-        for left, right in decomposition:
-            piece = left * term * right
-            pieces.append(piece)
-            total = piece if total is None else total + piece
-        if total != term:
+        zero = self.__algebra._ring(self.__n, self.__p, {})
+        pieces = [left * term * right for left, right in decomposition]
+        if sum(pieces, zero) != term:
             raise ValueError("decomposition does not sum back to the term")
-        acc = None
-        for piece in pieces:
-            part = self.can_poly(piece)
-            acc = part if acc is None else acc + part
-        return acc
+        return sum(map(self.can_poly, pieces), zero)
 
 
 # --- line protocol ------------------------------------------------------

@@ -4,8 +4,8 @@ basis until every public polynomial reduces to zero.
 
 A word with first letter a, middle u and last letter b is a minimal
 generator exactly when a+u and u+b both lie outside the leading-word
-ideal while the full word lies inside, so peeling only ever needs
-one-letter strips verified by membership queries.
+ideal while the full word lies inside; peeling tests exactly that, with
+two strips of one-letter steps verified by membership queries.
 """
 
 from __future__ import annotations
@@ -34,33 +34,23 @@ def peel(oracle, start: Word) -> Word:
     """Shrink a member of the leading-word ideal to a minimal generator
     that is a factor of it, in at most len(start) verified strips.
 
-    Phase one drops leftmost letters while the remainder stays inside;
-    phase two drops rightmost letters of the middle while the kept first
-    letter plus the shortened middle stays inside. Assumes a proper ideal
-    (the empty word is outside), so the empty start is refused.
+    The first strip drops the first letter while the rest stays inside,
+    the second the last letter. The result t is inside, t[:-1] outside,
+    and t[1:] outside too: it is a prefix of the rest the first strip
+    stopped on, and a prefix of an outside word is outside. So t is a
+    minimal generator. Assumes a proper ideal (the empty word is
+    outside), so the empty start is refused.
     """
     t = tuple(start)
     if not t:
         raise ValueError("cannot peel the empty word: it lies in no proper ideal")
     if not oracle.member_T(t):
         raise ValueError("peeling must start inside the leading-word ideal")
-    while len(t) > 1:
-        rest = t[1:]
-        if oracle.member_T(rest):
-            t = rest
-        else:
-            break
-    if len(t) == 1:
-        return t
-    head, body = t[0], t[1:]
-    # body is outside; so are all its prefixes
-    while body:
-        trunk = body[:-1]
-        if oracle.member_T((head,) + trunk):
-            body = trunk
-        else:
-            return (head,) + body
-    return (head,)
+    while len(t) > 1 and oracle.member_T(t[1:]):
+        t = t[1:]
+    while len(t) > 1 and oracle.member_T(t[:-1]):
+        t = t[:-1]
+    return t
 
 
 def covering_basis(
@@ -86,7 +76,6 @@ def covering_basis(
     """
     reducer = Reducer((), NcPolynomial.monoid.default_order)
     leads: set[Word] = set()
-    rounds = 0
     while True:
         residual = [normal_form(g, reducer) for g in public_gens]
         target = next((r for r in residual if not r.is_zero()), None)
@@ -100,8 +89,9 @@ def covering_basis(
             raise RuntimeError("peeled a generator that was already reduced away")
         leads.add(w)
         reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
-        rounds += 1
         if trace is not None:
             supports = sum(len(r.items()) for r in residual)
-            trace.append(f"round {rounds}: peeled {word_to_text(w)}, residual supports {supports}")
+            trace.append(
+                f"round {len(leads)}: peeled {word_to_text(w)}, residual supports {supports}"
+            )
     return reducer.elements

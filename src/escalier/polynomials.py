@@ -114,9 +114,7 @@ class Polynomial:
     def scale(self, c: int) -> "Polynomial":
         return self._ring(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._compatible(other)
         mul = self.monoid.mul
         out: dict = {}
@@ -125,11 +123,6 @@ class Polynomial:
                 u = mul(s, t)
                 out[u] = out.get(u, 0) + cs * ct
         return self._ring(self.n, self.p, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
 
     def leading_term(self, order):
         lead = self._lead
@@ -244,23 +237,22 @@ class Reducer:
     """A basis prepared for reduction under one order: normal_form
     reduces over a Reducer and reads the order from it.
 
-    Its rules (key(lead), insertion index, lead, lc^-1, element) stay
-    sorted by key and index. Every monomial it has reduced maps to its
-    step: () when no lead is a factor of it, else (rule, triples), one
-    (u, key(u), -c * lc^-1 mod p) per tail term c*s of the rule's
-    element, u the rewritten s. The rule for a monomial depends on that
-    monomial alone, so a remembered step is the step the loop would
-    compute, even over a basis whose normal forms are not unique. add
-    forgets only the steps the new rule now takes over.
+    Its rules (key(lead), index, lead, lc^-1, element), the index the
+    count of rules added before, stay sorted. Every monomial it has
+    reduced maps to its step: () when no lead is a factor of it, else
+    (rule, triples), one (u, key(u), -c * lc^-1 mod p) per tail term c*s
+    of the rule's element, u the rewritten s. The rule for a monomial
+    depends on that monomial alone, so a remembered step is the step the
+    loop would compute, even over a basis whose normal forms are not
+    unique. add forgets only the steps the new rule now takes over.
     """
 
-    __slots__ = ("order", "_rules", "_steps", "_added")
+    __slots__ = ("order", "_rules", "_steps")
 
     def __init__(self, basis: Iterable[Polynomial], order):
         self.order = order
         self._rules: list = []
         self._steps: dict = {}
-        self._added = 0
         for g in basis:
             self.add(g)
 
@@ -277,8 +269,7 @@ class Reducer:
             self._rules[0][4]._compatible(g)
         order = self.order
         t, c = g.leading_data(order)
-        rule = (order.key(t), self._added, t, inv_mod(c, g.p), g)
-        self._added += 1
+        rule = (order.key(t), len(self._rules), t, inv_mod(c, g.p), g)
         insort(self._rules, rule)
         cofactor, steps = g.monoid.cofactor, self._steps
         stale = [
@@ -416,15 +407,11 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
         if not r.is_zero():
             update(r.monic(order))
 
-    # minimal basis: drop elements whose lead another lead divides
-    minimal: list[Polynomial] = []
-    for g in sorted((basis[i] for i in alive), key=lambda g: key(g.leading_term(order))):
-        t = g.leading_term(order)
-        if not any(divides(h.leading_term(order), t) for h in minimal):
-            minimal.append(g)
+    # minimal basis; alive leads are distinct: update drops each one h's lead divides
+    least = minimal_terms(leads[i] for i in alive)
     reduced = []
-    for g in minimal:
-        t = g.leading_term(order)
+    for i in sorted((i for i in alive if leads[i] in least), key=lambda i: key(leads[i])):
+        g, t = basis[i], leads[i]
         tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
         reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer)._coeffs}))
     return GroebnerBasis(tuple(reduced), order)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Optional
 
@@ -51,13 +50,20 @@ def lcm(a: Term, b: Term) -> Term:
 
 
 def terms_of_degree(n: int, d: int) -> Iterator[Term]:
-    """Every term of total degree d in n variables, in
-    combinations_with_replacement order."""
-    for combo in combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
+    """Terms of total degree d in n >= 1 variables, descending as tuples
+    (combinations_with_replacement order). A step moves a unit of the
+    last nonzero exponent i < n - 1, and all of exponent n - 1, to i + 1."""
+    exps = [d] + [0] * (n - 1)
+    while True:
         yield tuple(exps)
+        i = n - 2
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        tail, exps[-1] = exps[-1], 0
+        exps[i] -= 1
+        exps[i + 1] = tail + 1
 
 
 def minimal_terms(terms: Iterable[Term]) -> set[Term]:

@@ -63,6 +63,34 @@ def random_poly(rng: random.Random, n: int, p: int = P, deg: int = 2, terms: int
     return Polynomial(n, p, coeffs)
 
 
+def reference_peel(oracle, start):
+    """The head/body form of peel, kept as its reference: phase one drops
+    leftmost letters while the remainder stays inside; phase two drops
+    rightmost letters of the body while the kept head plus the shortened
+    body stays inside."""
+    t = tuple(start)
+    if not t:
+        raise ValueError("cannot peel the empty word")
+    if not oracle.member_T(t):
+        raise ValueError("peeling must start inside the leading-word ideal")
+    while len(t) > 1:
+        rest = t[1:]
+        if oracle.member_T(rest):
+            t = rest
+        else:
+            break
+    if len(t) == 1:
+        return t
+    head, body = t[0], t[1:]
+    while body:
+        trunk = body[:-1]
+        if oracle.member_T((head,) + trunk):
+            body = trunk
+        else:
+            return (head,) + body
+    return (head,)
+
+
 def reference_normal_form(f, basis, order):
     """normal_form without a Reducer: every call re-sorts the basis and
     recomputes every step. The same strategy as the library's loop, kept

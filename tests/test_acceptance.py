@@ -271,7 +271,7 @@ def test_criterion_9_crypto_round_trip_and_attacks():
 
     # a scheme whose cap understates the basis degree mis-decrypts
     pair = build_counterexample([poly("X1^2")], DEGLEX, 3)
-    forged = keygen(pair.extended_basis, DEGLEX, 2, 1, 4, random.Random(33))
+    forged = keygen(pair.extended_basis.elements, DEGLEX, 2, 1, 4, random.Random(33))
     oracle = forged.oracle()
     bad = attack_commutative(oracle, forged.public, bound=pair.agree_degree)
     probe = Polynomial.term(pair.cap_lead, P)

@@ -228,10 +228,21 @@ class TestForge:
             # the emitted oracle ideals are honest bases
             assert run(["verify-gb", "--ideal", str(emitted)]) == 0
 
-    def test_delta_too_small_exit_1(self, tmp_path, capsys):
+    def test_delta_too_small_exit_2(self, tmp_path, capsys):
         path = tmp_path / "j.ideal"
         path.write_text("ring n=2 p=32003 order=degrevlex\nX1^2\n")
-        assert run(["forge", "--j", str(path), "--delta", "1"]) == 1
+        assert run(["forge", "--j", str(path), "--delta", "1"]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text", ["ring n=2 p=32003 order=deglex\n", "ring n=1 p=32003 order=deglex\nX1^2\n"]
+    )
+    def test_refusals_exit_2(self, text, tmp_path, capsys):
+        # an ideal without generators, or in one variable
+        path = tmp_path / "j.ideal"
+        path.write_text(text)
+        assert run(["forge", "--j", str(path), "--delta", "3"]) == 2
+        _one_error_line(capsys)
 
     def test_large_delta(self, tmp_path, capsys):
         # the cap lead comes from the basis leads, not from listing the
@@ -424,12 +435,45 @@ class TestInputValidation:
         assert run(argv) == 2
         assert not (tmp_path / "pub").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--bound", "3", "--public", "3"],  # an unknown flag
+            ["--bound", "3", "--order", "lexx"],  # a bad choice
+            ["--bound", "x"],  # not an integer
+            [],  # --bound missing
+        ],
+    )
+    def test_usage_errors_are_one_line(self, flags, ex51, capsys):
+        assert run(["recon", "--ideal", str(ex51)] + flags) == 2
+        _one_error_line(capsys)
+
+    def test_missing_command_is_one_line(self, capsys):
+        assert run([]) == 2
+        _one_error_line(capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["recon", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_keygen_walk_refused_before_listing_it(self, tmp_path, capsys):
+        # 2,001 normal terms up to degree 1; degree 2 alone holds 2,001,000
+        ring = tmp_path / "wide.ideal"
+        ring.write_text("ring n=2000 p=32003 order=deglex\nX1^2\n")
+        argv = ["keygen", "--ideal", str(ring), "--message-terms", "3000"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
+        assert run(argv) == 2
+        _one_error_line(capsys)
+        assert not (tmp_path / "pub").exists()
+
     def test_forge_refuses_lex_before_completion(self, tmp_path, capsys, monkeypatch):
         # completing this basis under lex is slow; it must not start
         monkeypatch.setattr("escalier.forge.buchberger", None)
         ring = tmp_path / "slow.ideal"
         ring.write_text(SLOW_UNDER_LEX)
-        assert run(["forge", "--j", str(ring), "--delta", "20", "--order", "lex"]) == 1
+        assert run(["forge", "--j", str(ring), "--delta", "20", "--order", "lex"]) == 2
         _one_error_line(capsys)
 
     def test_keygen_refuses_lex_before_completion(self, tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from escalier.forge import build_counterexample
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
 from escalier.polynomials import Polynomial, Reducer, normal_form
+from escalier.terms import terms_of_degree
 
 from helpers import DEGLEX, DEGREVLEX, LEX, P, ncpoly, poly
 
@@ -77,6 +78,20 @@ class TestKeygen:
         monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
         with pytest.raises(ValueError, match="exceeds the limit"):
             keygen([poly("X1^2 + X2", p=7)], DEGLEX, 1, 5000, 4, random.Random(0))
+
+    def test_normal_term_walk_refused_before_its_layer(self, monkeypatch):
+        # layers 0 and 1 hold 2,001 terms; layer 2 would add 2,001,000
+        listed = []
+
+        def recording(n, d):
+            listed.append(d)
+            return terms_of_degree(n, d)
+
+        monkeypatch.setattr("escalier.crypto.terms_of_degree", recording)
+        gens = [Polynomial.term((2,) + (0,) * 1999, 7)]
+        with pytest.raises(ValueError, match="walks past 1000000"):
+            keygen(gens, DEGLEX, 1, 0, 3000, random.Random(0))
+        assert listed == [0, 1]
 
     def test_key_size_limit_edge(self):
         from escalier.crypto import check_key_size
@@ -210,7 +225,7 @@ class TestAttack:
 
     def test_small_bound_mis_decrypts(self):
         pair = build_counterexample([poly("X1^2")], DEGLEX, 3)
-        keys = keygen(pair.extended_basis, DEGLEX, 2, 1, 4, random.Random(7))
+        keys = keygen(pair.extended_basis.elements, DEGLEX, 2, 1, 4, random.Random(7))
         oracle = keys.oracle()
         att = attack_commutative(oracle, keys.public, bound=pair.agree_degree)
         probe = Polynomial.term(pair.cap_lead, P)
@@ -219,7 +234,7 @@ class TestAttack:
     def test_decryptor_reuses_one_reducer(self):
         # over a wrong basis too, every call equals a fresh reduction
         pair = build_counterexample([poly("X1^2 + X2")], DEGLEX, 3)
-        keys = keygen(pair.extended_basis, DEGLEX, 2, 1, 4, random.Random(7))
+        keys = keygen(pair.extended_basis.elements, DEGLEX, 2, 1, 4, random.Random(7))
         for bound in (pair.agree_degree, None):
             att = attack_commutative(keys.oracle(), keys.public, bound=bound)
             reducer = att._reducer

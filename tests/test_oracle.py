@@ -172,6 +172,12 @@ class TestMasked:
         with pytest.raises(ValueError):
             o.masked_can((2, 0), [(two, one)])
 
+    def test_empty_decomposition_refused_before_any_query(self):
+        o = toy_oracle()
+        with pytest.raises(ValueError):
+            o.masked_can((2, 0), [])
+        assert o.queries == 0
+
 
 class TestNcOracle:
     def test_requires_confluent_basis(self):

@@ -8,7 +8,7 @@ from escalier.peeling import candidate_terms, covering_basis, peel
 from escalier.polynomials import Reducer, normal_form
 from escalier.words import WordOrder, is_factor
 
-from helpers import P, ncpoly
+from helpers import P, ncpoly, reference_peel
 
 ORDER = WordOrder()
 
@@ -38,6 +38,23 @@ class _Forgetful:
 
     def can_term(self, w):
         return NcPolynomial.term(w, self.n, self.p)
+
+
+class _Recording:
+    """Membership in the ideal of the given leading words, with every
+    asked word recorded in order."""
+
+    def __init__(self, leads):
+        self.leads, self.asked = leads, []
+
+    def member_T(self, w):
+        self.asked.append(w)
+        return any(is_factor(lead, w) for lead in self.leads)
+
+
+def _word(rng, n, longest):
+    """A random word of 1 to longest letters from X1..Xn."""
+    return tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(1, longest + 1)))
 
 
 class TestCandidates:
@@ -86,6 +103,27 @@ class TestPeel:
             if len(w) > 1:
                 assert not o.member_T(w[:-1])
                 assert not o.member_T(w[1:])
+
+    def test_matches_the_reference_peel(self):
+        # same word, same member_T sequence: up to 3 letters, up to 3
+        # leads of length at most 3, starts of length at most 5
+        rng = random.Random(14)
+        peeled = 0
+        for _ in range(3000):
+            n = rng.randrange(1, 4)
+            leads = [_word(rng, n, 3) for _ in range(rng.randrange(1, 4))]
+            start = _word(rng, n, 5)
+            new, old = _Recording(leads), _Recording(leads)
+            try:
+                want = reference_peel(old, start)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    peel(new, start)
+            else:
+                assert peel(new, start) == want
+                peeled += 1
+            assert new.asked == old.asked
+        assert peeled > 1000
 
     def test_outside_raises(self):
         o = nc_oracle(ncpoly("X1*X2"))

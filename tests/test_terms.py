@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -48,6 +49,17 @@ class TestTermsOfDegree:
     def test_combinations_order(self):
         assert list(terms_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
         assert TermMonoid.of_degree is terms_of_degree
+
+    def test_pinned_to_combinations_with_replacement(self):
+        for n in range(1, 6):
+            for d in range(9):
+                want = []
+                for combo in combinations_with_replacement(range(n), d):
+                    exps = [0] * n
+                    for i in combo:
+                        exps[i] += 1
+                    want.append(tuple(exps))
+                assert list(terms_of_degree(n, d)) == want
 
 
 class TestCompare:
