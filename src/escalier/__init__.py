@@ -17,7 +17,7 @@ from .crypto import (
 from .errors import ParseError
 from .forge import BoundDemo, ForgedPair, build_counterexample, demonstrate_bound_necessity
 from .nc_polynomials import NcPolynomial, overlap_check, parse_free_file, render_free_file
-from .oracle import CanOracle, serve, serve_line
+from .oracle import CanOracle, serve_line
 from .peeling import candidate_terms, covering_basis, peel
 from .polynomials import (
     GroebnerBasis,

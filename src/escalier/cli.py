@@ -25,7 +25,7 @@ from .polynomials import (
     render_ideal_file,
     s_pair_remainders,
 )
-from .staircase import _MAX_BOX_TERMS, brute_force_generators, reconstruct, render_result
+from .staircase import brute_force_generators, check_box, reconstruct, render_result
 from .terms import TermOrder
 from .words import WordMonoid
 
@@ -44,13 +44,6 @@ def _load_ideal(path, order_override=None):
     return n, p, order, polys
 
 
-def _check_box(n: int, bound: int) -> None:
-    """Refuse a box too large to reconstruct in, before any oracle exists."""
-    size = (bound + 1) ** n
-    if size > _MAX_BOX_TERMS:
-        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
-
-
 def _free_oracle(private, public):
     """Oracle of the private free-algebra basis, with the public
     polynomials, which must live in the same algebra."""
@@ -63,7 +56,7 @@ def _free_oracle(private, public):
 
 def _cmd_recon(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order)
-    _check_box(n, args.bound)
+    check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound, binary=args.binary_search)
     _emit(render_result(res), args.out)
@@ -153,7 +146,7 @@ def _cmd_attack(args) -> int:
     if (pk.n, pk.p) != (n, p):
         raise ParseError("public key and private file use different rings")
     bound = pk.degree_cap if args.bound is None else args.bound
-    _check_box(pk.n, bound)
+    check_box(pk.n, bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     result = crypto.attack_commutative(oracle, pk, bound=bound)
     _emit(render_result(result.staircase), args.out)
@@ -188,9 +181,8 @@ def _cmd_verify_gb(args) -> int:
     else:
         n, p, order, polys = _load_ideal(args.ideal, args.order)
         for i, j, r in s_pair_remainders(polys, order):
-            line = "0" if r.is_zero() else r.to_text(order)
             state = "ok" if r.is_zero() else "remainder"
-            print(f"pair ({i},{j}): {state} {line}")
+            print(f"pair ({i},{j}): {state} {r.to_text(order)}")
             if not r.is_zero():
                 ok = False
     return 0 if ok else 1
@@ -198,7 +190,7 @@ def _cmd_verify_gb(args) -> int:
 
 def _cmd_bench_queries(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order)
-    _check_box(n, args.bound)
+    check_box(n, args.bound)
     oracle = CanOracle.commutative(polys, order, n=n, p=p)
     res = reconstruct(oracle, n, args.bound)
     before = oracle.queries

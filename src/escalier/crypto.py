@@ -191,11 +191,9 @@ def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polyno
     """
     if not oracle.member_T(lead):
         raise ValueError("term is not a leading term of the hidden ideal")
-    if masking is not None:
-        can = oracle.masked_can(lead, masking)
-    else:
-        can = oracle.can_poly(Polynomial.term(lead, oracle.p))
-    return Polynomial.term(lead, oracle.p) - can
+    fake = Polynomial.term(lead, oracle.p)
+    can = oracle.can_poly(fake) if masking is None else oracle.masked_can(lead, masking)
+    return fake - can
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def nc_attack_probe(
     words = chain.from_iterable(NcPolynomial.monoid.of_degree(n, d) for d in range(3))
     alphabet = list(islice((w for w in words if not oracle.member_T(w)), 4))
 
-    successes = failures = 0
+    successes = 0
     for _ in range(trials):
         msg = NcPolynomial(
             n, p, {w: rng.randrange(p) for w in alphabet if rng.random() < 0.7}
@@ -272,12 +270,10 @@ def nc_attack_probe(
             c = c + left * g * right
         if normal_form(c, reducer) == msg:
             successes += 1
-        else:
-            failures += 1
     return NcProbeReport(
         trials=trials,
         successes=successes,
-        failures=failures,
+        failures=trials - successes,
         basis_size=len(basis),
     )
 

@@ -19,7 +19,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# the largest modulus: trial division up to it takes milliseconds
+_MAX_MODULUS = 2**31 - 1
+
+
 def validate_prime(p: int) -> int:
+    if p > _MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds the limit of {_MAX_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p

@@ -51,28 +51,23 @@ def overlap_check(reducer: Reducer) -> bool:
     """
     order, elems = reducer.order, reducer.elements
     for g in elems:
-        if g.leading_coefficient(order) != 1:
+        if g.leading_data(order)[1] != 1:
             raise ValueError("overlap check requires monic elements")
     leads = [g.leading_term(order) for g in elems]
 
-    for wi, gi in zip(leads, elems):
-        for wj, gj in zip(leads, elems):
-            # overlaps: wi = a b, wj = b c with b nonempty, word = a b c
-            for k in range(1, min(len(wi), len(wj))):
-                if wi[len(wi) - k :] != wj[:k]:
-                    continue
-                left = wi[: len(wi) - k]
-                right = wj[k:]
-                s = gi.sandwich((), right) - gj.sandwich(left, ())
-                if not normal_form(s, reducer).is_zero():
-                    return False
-            # inclusions: wi occurs inside wj
-            if gi is not gj:
-                for left, right in subword_occurrences(wi, wj):
-                    s = gj - gi.sandwich(left, right)
-                    if not normal_form(s, reducer).is_zero():
-                        return False
-    return True
+    def ambiguities():
+        for wi, gi in zip(leads, elems):
+            for wj, gj in zip(leads, elems):
+                # overlaps: wi = a b, wj = b c with b nonempty, word = a b c
+                for k in range(1, min(len(wi), len(wj))):
+                    if wi[len(wi) - k :] == wj[:k]:
+                        yield gi.sandwich((), wj[k:]) - gj.sandwich(wi[: len(wi) - k], ())
+                # inclusions: wi occurs inside wj
+                if gi is not gj:
+                    for left, right in subword_occurrences(wi, wj):
+                        yield gj - gi.sandwich(left, right)
+
+    return all(normal_form(s, reducer).is_zero() for s in ambiguities())
 
 
 def render_free_file(polys: Iterable[NcPolynomial], n: int, p: int) -> str:

@@ -19,14 +19,15 @@ Every answer is reduced over one Reducer, prepared once per basis,
 which remembers the reduction step of each monomial it has reduced. The
 memory saves computation only: the ledger charges every query exactly as
 without it. It grows with the distinct monomials the oracle has reduced,
-and lives as long as the oracle, which a long serve session should bear
-in mind. Answers never depend on the ledger, so callers that run several
-sessions over one oracle measure each as a difference of queries.
+and lives as long as the oracle, which a long line-protocol session
+should bear in mind. Answers never depend on the ledger, so callers that
+run several sessions over one oracle measure each as a difference of
+queries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ParseError
 from .field import validate_prime
@@ -98,6 +99,7 @@ class CanOracle:
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
             raise ValueError("free-algebra oracle needs a nonempty basis")
+        validate_prime(elems[0].p)
         elems = [g.monic(order) for g in elems]
         if any(not g.leading_term(order) for g in elems):
             raise ValueError("basis generates the whole free algebra (a lead is 1)")
@@ -190,10 +192,3 @@ def serve_line(oracle: CanOracle, line: str) -> str:
         except (ParseError, ValueError) as e:
             return f"ERR {e}"
     return f"ERR unknown request {line.strip()!r}"
-
-
-def serve(oracle: CanOracle, lines: Iterable[str]) -> Iterator[str]:
-    for line in lines:
-        out = serve_line(oracle, line)
-        if out:
-            yield out

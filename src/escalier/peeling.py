@@ -23,11 +23,7 @@ def candidate_terms(g: NcPolynomial) -> list[Word]:
     if g.is_zero():
         raise ValueError("zero polynomial has no candidate terms")
     supp = sorted(g.support(), key=lambda w: (len(w), w))
-    out = []
-    for w in supp:
-        if not any(v != w and is_factor(w, v) for v in supp):
-            out.append(w)
-    return out
+    return [w for w in supp if not any(v != w and is_factor(w, v) for v in supp)]
 
 
 def peel(oracle, start: Word) -> Word:

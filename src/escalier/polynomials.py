@@ -108,9 +108,6 @@ class Polynomial:
             out[t] = out.get(t, 0) - c
         return self._ring(self.n, self.p, out)
 
-    def __neg__(self) -> "Polynomial":
-        return self._ring(self.n, self.p, {t: -c for t, c in self._coeffs.items()})
-
     def scale(self, c: int) -> "Polynomial":
         return self._ring(self.n, self.p, {t: v * c for t, v in self._coeffs.items()})
 
@@ -132,9 +129,6 @@ class Polynomial:
             lead = self._lead = (order, max(self._coeffs, key=order.key))
         return lead[1]
 
-    def leading_coefficient(self, order) -> int:
-        return self._coeffs[self.leading_term(order)]
-
     def leading_data(self, order) -> tuple:
         t = self.leading_term(order)
         return t, self._coeffs[t]
@@ -142,7 +136,7 @@ class Polynomial:
     def monic(self, order) -> "Polynomial":
         if not self._coeffs:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(inv_mod(self.leading_coefficient(order), self.p))
+        return self.scale(inv_mod(self.leading_data(order)[1], self.p))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -300,13 +294,13 @@ def normal_form(f: Polynomial, reducer: Reducer) -> Polynomial:
     cofactor, apply = f.monoid.cofactor, f.monoid.apply
     p = f.p
     work = dict(f._coeffs)
-    # pending monomials sorted by cached order key; the largest is last.
-    # An entry whose monomial has since cancelled is skipped when popped.
+    # pending monomials sorted by cached order key, largest last, one entry
+    # each: steps only yield smaller ones, and one that cancels stays at 0.
     queue = sorted((key(t), t) for t in work)
     out: dict = {}
     while queue:
         t = queue.pop()[1]
-        c = work.pop(t, 0)
+        c = work.pop(t)
         if not c:
             continue
         step = steps.get(t)
@@ -328,13 +322,9 @@ def normal_form(f: Polynomial, reducer: Reducer) -> Polynomial:
             out[t] = c
             continue
         for u, ku, m in step[1]:
-            v = (work.get(u, 0) + c * m) % p
-            if v:
-                if u not in work:
-                    insort(queue, (ku, u))
-                work[u] = v
-            elif u in work:
-                del work[u]
+            if u not in work:
+                insort(queue, (ku, u))
+            work[u] = (work.get(u, 0) + c * m) % p
     return f._ring(f.n, p, out)
 
 
@@ -443,11 +433,15 @@ def content_lines(text: str) -> list[str]:
     return [ln for ln in lines if ln]
 
 
+# the most variables a file header may declare: every term is an n-tuple
+_MAX_VARIABLES = 10_000
+
+
 def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
     """Values of a header line ``<kind> <field>=<value> ...`` carrying
     exactly the given fields, in that order. Every value is a nonnegative
-    integer except order, which names a term order; n must be at least 1
-    and p must be prime."""
+    integer except order, which names a term order; n must lie in 1 to
+    _MAX_VARIABLES and p must be a prime that validate_prime accepts."""
     parts = line.split()
     pairs = [part.partition("=") for part in parts[1:]]
     if parts[:1] != [kind] or [(k, eq) for k, eq, _ in pairs] != [(f, "=") for f in fields]:
@@ -456,8 +450,6 @@ def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
     for name, _, value in pairs:
         if name != "order" and not value.isdecimal():
             raise ParseError(f"bad {kind} header: {line!r}")
-        if name == "n" and int(value) < 1:
-            raise ParseError(f"{kind} header needs at least one variable, got n={value}")
         try:
             if name == "order":
                 values.append(TermOrder(value))
@@ -465,6 +457,10 @@ def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
                 values.append(validate_prime(int(value)) if name == "p" else int(value))
         except ValueError as e:
             raise ParseError(str(e)) from None
+        if name == "n" and values[-1] < 1:
+            raise ParseError(f"{kind} header needs at least one variable, got n={value}")
+        if name == "n" and values[-1] > _MAX_VARIABLES:
+            raise ParseError(f"{kind} header has n={value}, over the limit of {_MAX_VARIABLES}")
     return tuple(values)
 
 

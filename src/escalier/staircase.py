@@ -29,6 +29,13 @@ from .terms import Term, divides, minimal_terms, parse_term, term_to_text
 _MAX_BOX_TERMS = 10**6
 
 
+def check_box(n: int, bound: int) -> None:
+    """Refuse a box [0, bound]^n of more than _MAX_BOX_TERMS terms."""
+    size = (bound + 1) ** n
+    if size > _MAX_BOX_TERMS:
+        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+
+
 @dataclass(frozen=True)
 class StaircaseResult:
     generators: frozenset[Term]
@@ -76,14 +83,6 @@ def _drop_min_true(test: Callable[[int], bool], hi: int, binary: bool) -> int:
     while v >= 1 and test(v - 1):
         v -= 1
     return v
-
-
-# --- one variable -----------------------------------------------------------
-
-
-def _one_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
-    e = _scan_min_true(lambda v: oracle.member_T((v,)), 0, bound, binary)
-    return set() if e is None else {(e,)}
 
 
 # --- two variables -----------------------------------------------------------
@@ -166,7 +165,8 @@ def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
 
 def _generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
     if n == 1:
-        return _one_var_generators(oracle, bound, binary)
+        e = _scan_min_true(lambda v: oracle.member_T((v,)), 0, bound, binary)
+        return set() if e is None else {(e,)}
     if n == 2:
         return _two_var_generators(oracle, bound, binary)
     return _corner_generators(oracle, n, bound, binary)
@@ -195,12 +195,10 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
 def brute_force_generators(oracle, n: int, bound: int) -> set[Term]:
     """Baseline: query every term of the box [0, bound]^n and keep the
     divisibility-minimal members; always (bound+1)**n queries. Refuses a
-    negative bound and a box of more than _MAX_BOX_TERMS terms."""
+    negative bound, and a box that check_box refuses."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    size = (bound + 1) ** n
-    if size > _MAX_BOX_TERMS:
-        raise ValueError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    check_box(n, bound)
     members = [t for t in product(range(bound + 1), repeat=n) if oracle.member_T(t)]
     return minimal_terms(members)
 

@@ -25,11 +25,7 @@ def subword_occurrences(pattern: Word, w: Word) -> list[tuple[Word, Word]]:
     pattern = tuple(pattern)
     w = tuple(w)
     k = len(pattern)
-    out = []
-    for start in range(len(w) - k + 1):
-        if w[start : start + k] == pattern:
-            out.append((w[:start], w[start + k :]))
-    return out
+    return [(w[:i], w[i + k :]) for i in range(len(w) - k + 1) if w[i : i + k] == pattern]
 
 
 def is_factor(pattern: Word, w: Word) -> bool:

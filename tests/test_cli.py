@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -537,6 +538,29 @@ class TestInputValidation:
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         assert run([str(tmp_path / a) if a in files else a for a in argv]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "ring n=10001 p=7 order=deglex",
+            "ring n=4000000 p=7 order=deglex",
+            "free n=10001 p=7",
+            "free n=4000000 p=7",
+            "ring n=1 p=2147483659 order=deglex",
+            "ring n=1 p=10000000000000000000009 order=deglex",
+            "free n=1 p=10000000000000000000009",
+        ],
+    )
+    def test_oversized_header_refused_at_once(self, head, tmp_path, capsys):
+        path = tmp_path / "big"
+        path.write_text(head + "\nX1\n")
+        argv = ["recon", "--ideal", str(path), "--bound", "0"]
+        if head.startswith("free"):
+            argv = ["nc-recon", "--ideal", str(path), "--public", str(path)]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
         _one_error_line(capsys)
 
     def test_free_unit_ideal_exit_1(self, tmp_path, capsys):

@@ -45,7 +45,7 @@ def generator_sets(draw):
 def _is_reduced(elements, order) -> bool:
     leads = [g.leading_term(order) for g in elements]
     for g, lead in zip(elements, leads):
-        if g.leading_coefficient(order) != 1:
+        if g.leading_data(order)[1] != 1:
             return False
         others = [t for t in leads if t != lead]
         if any(divides(t, s) for t in others for s in g.support()):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from escalier.nc_polynomials import NcPolynomial
-from escalier.oracle import CanOracle, serve, serve_line
+from escalier.oracle import CanOracle, serve_line
 from escalier.polynomials import Polynomial
 
 from helpers import DEGLEX, P, monomial_oracle, ncpoly, poly, random_poly, zero_oracle
@@ -184,6 +184,13 @@ class TestNcOracle:
         with pytest.raises(ValueError):
             CanOracle.noncommutative([ncpoly("X1*X1 - X2")])
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_refuses_a_composite_modulus_first(self, c):
+        # refused before the monic step and the overlap check, which would
+        # accept c = 1 and fail c = 2 and 3 on other grounds
+        with pytest.raises(ValueError, match="modulus 8 is not prime"):
+            CanOracle.noncommutative([ncpoly(f"{c}*X1*X2 + 3", p=8)])
+
     def test_refuses_unit_ideal(self):
         with pytest.raises(ValueError):
             CanOracle.noncommutative([ncpoly("1")])
@@ -225,11 +232,6 @@ class TestProtocol:
         o = toy_oracle()
         assert serve_line(o, "NOPE").startswith("ERR")
         assert serve_line(o, "CAN Y2").startswith("ERR")
-
-    def test_stream(self):
-        o = toy_oracle()
-        out = list(serve(o, ["CAN X2^2", "COUNT"]))
-        assert out == ["32002", "1"]
 
     def test_nc_protocol(self):
         o = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])

