@@ -25,7 +25,6 @@ from .polynomials import (
     Reducer,
     buchberger,
     gb_degree,
-    is_groebner,
     normal_form,
     parse_ideal_file,
     parse_polynomial,

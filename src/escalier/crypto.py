@@ -17,7 +17,7 @@ from itertools import chain, islice
 from math import comb
 from typing import Iterable, Optional
 
-from .errors import ParseError
+from .errors import MAX_TERMS, ParseError, check_size
 from .nc_polynomials import NcPolynomial
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -31,7 +31,7 @@ from .polynomials import (
     normal_form,
     parse_polynomial,
 )
-from .staircase import _MAX_BOX_TERMS, StaircaseResult, reconstruct
+from .staircase import StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
 
 
@@ -57,12 +57,12 @@ def random_polynomial(
 
 
 def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int) -> None:
-    """Refuse a key whose noise terms would exceed _MAX_BOX_TERMS: each
+    """Refuse a key whose noise would hold more than 10^6 terms: each
     public polynomial draws one random polynomial of degree noise_degree,
-    C(n + d, n) terms, per basis element."""
-    size = comb(n + noise_degree, n) * basis_size * count_public
-    if size > _MAX_BOX_TERMS:
-        raise ValueError(f"key noise of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    C(n + d, n) terms, per basis element. C(n + d, n) >= n + d, so
+    capping d at 10^6 keeps the verdict and the binomial small."""
+    size = comb(n + min(noise_degree, MAX_TERMS), n) * basis_size * count_public
+    check_size(size, "the key noise")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def keygen(
     the normal-term enumeration both ride on total degree. Another order
     is refused before the basis is completed, a key whose noise would be
     too large (check_key_size) before any noise is drawn, and a walk for
-    normal terms before a layer takes it past _MAX_BOX_TERMS terms.
+    normal terms before a layer takes it past MAX_TERMS terms.
     """
     if count_public < 1 or noise_degree < 0 or message_terms < 0:
         raise ValueError(
@@ -132,8 +132,8 @@ def keygen(
     walked = d = 0
     while len(normal) < message_terms:
         walked += comb(n + d - 1, d)
-        if walked > _MAX_BOX_TERMS:
-            raise ValueError(f"finding {message_terms} normal terms walks past {_MAX_BOX_TERMS}")
+        if walked > MAX_TERMS:
+            raise ValueError(f"finding {message_terms} normal terms walks past {MAX_TERMS}")
         layer = [t for t in terms_of_degree(n, d) if not any(divides(lt, t) for lt in leads)]
         if d > 0 and not layer:
             raise ValueError(f"only {len(normal)} normal terms exist, {message_terms} requested")

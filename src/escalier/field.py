@@ -5,7 +5,11 @@ stores its modulus p, which the caller always supplies: there is no
 default prime.
 """
 
+from functools import lru_cache
 
+
+# oracles and file headers ask again and again: one trial division per modulus
+@lru_cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

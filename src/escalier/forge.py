@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .errors import check_size
 from .oracle import CanOracle
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, gb_degree, normal_form
 from .staircase import reconstruct
@@ -56,8 +57,9 @@ def build_counterexample(
 ) -> ForgedPair:
     """Build the agreeing-then-diverging ideal pair from a basis of J.
 
-    Needs a degree-compatible order and at least two variables, both
-    checked before any completion, and agree_degree at least one more
+    Needs a degree-compatible order, at least two variables and
+    n * (agree_degree + 2) <= 10^6 (the terms the demo's scans reach),
+    all checked before any completion, and agree_degree at least one more
     than the largest basis degree. The cap lead is the order-smallest
     padded lead l*X1^(D - deg l), D = agree_degree + 1: any other
     multiple of l of degree D has its X2..Xn exponents at least as large,
@@ -71,8 +73,10 @@ def build_counterexample(
         gens = tuple(generators)
     if not order.degree_compatible:
         raise ValueError("the construction needs a degree-compatible order")
-    if gens and gens[0].n < 2:
-        raise ValueError("the construction needs at least two variables")
+    if gens:
+        if gens[0].n < 2:
+            raise ValueError("the construction needs at least two variables")
+        check_size(gens[0].n * (agree_degree + 2), "the forge scan of n * (delta + 2) terms")
     base = generators if isinstance(generators, GroebnerBasis) else buchberger(gens, order)
     n, p = base.elements[0].n, base.elements[0].p
     if agree_degree < gb_degree(base) + 1:

@@ -27,13 +27,15 @@ queries.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import le
 from typing import Iterable, Optional, Union
 
 from .errors import ParseError
 from .field import validate_prime
 from .nc_polynomials import NcPolynomial, overlap_check
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, normal_form
-from .terms import TermOrder
+from .terms import TermMonoid, TermOrder
 
 
 class CanOracle:
@@ -141,9 +143,12 @@ class CanOracle:
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
-        t = self.__monoid.validate(t, self.__n)
+        monoid = self.__monoid
+        t = monoid.validate(t, self.__n)
         self.__count += 1
-        cofactor = self.__monoid.cofactor
+        if monoid is TermMonoid:  # divisibility only: a C-level scan, no quotient built
+            return any(map(all, map(map, repeat(le), self.__leads, repeat(t))))
+        cofactor = monoid.cofactor
         return any(cofactor(lt, t) is not None for lt in self.__leads)
 
     def can_poly(self, f):

@@ -417,11 +417,6 @@ def s_pair_remainders(basis: list[Polynomial], order: TermOrder) -> Iterator[tup
             yield i, j, normal_form(s_polynomial(elems[i], elems[j], order), reducer)
 
 
-def is_groebner(basis: list[Polynomial], order: TermOrder) -> bool:
-    """True iff every pairwise S-polynomial reduces to zero over the set."""
-    return all(r.is_zero() for _, _, r in s_pair_remainders(basis, order))
-
-
 def gb_degree(basis: GroebnerBasis) -> int:
     """Largest total degree of a basis element."""
     return max(g.degree() for g in basis.elements)

@@ -15,25 +15,22 @@ same monotone scans (membership along a ray only switches once).
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from operator import le
 from typing import Callable
 
-from .errors import ParseError
+from .errors import ParseError, check_size
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
-from .terms import Term, divides, minimal_terms, parse_term, term_to_text
-
-
-# the largest box (bound+1)**n that brute force enumerates and that the
-# CLI lets a reconstruction cover
-_MAX_BOX_TERMS = 10**6
+from .terms import Term, minimal_terms, parse_term, term_to_text
 
 
 def check_box(n: int, bound: int) -> None:
-    """Refuse a box [0, bound]^n of more than _MAX_BOX_TERMS terms."""
-    size = (bound + 1) ** n
-    if size > _MAX_BOX_TERMS:
-        raise ParseError(f"box of {size} terms exceeds the limit of {_MAX_BOX_TERMS}")
+    """Refuse a box [0, bound]^n of more than 10^6 terms, the largest that
+    brute force enumerates and that the CLI lets a reconstruction cover.
+    For bound >= 1, 2^20 > 10^6, so 20 factors decide however large n is."""
+    check_size((bound + 1) ** min(n, 20), "the box [0, bound]^n")
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,10 @@ def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
     known: dict[Term, bool] = {}
 
     def member(t: Term) -> bool:
-        if t not in known:
-            known[t] = oracle.member_T(t)
-        return known[t]
+        inside = known.get(t)
+        if inside is None:
+            inside = known[t] = oracle.member_T(t)
+        return inside
 
     # a known corner is confirmed outside: inside ones are split away
     while pending := corners - known.keys():
@@ -148,15 +146,20 @@ def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
         # current value is known inside, so reaching it costs no query
         g = c
         for i in range(n):
-            lowered = lambda v, g=g, i=i: member(g[:i] + (v,) + g[i + 1 :])
-            g = g[:i] + (_scan_min_true(lowered, 0, g[i], binary),) + g[i + 1 :]
+            head, tail = g[:i], g[i + 1 :]
+            lowered = lambda v, head=head, tail=tail: member(head + (v,) + tail)
+            g = head + (_scan_min_true(lowered, 0, g[i], binary),) + tail
         gens.add(g)
-        hit = {d for d in corners if divides(g, d)}
+        hit = {d for d in corners if all(map(le, g, d))}  # g divides d
         split = {d[:i] + (e - 1,) + d[i + 1 :] for d in hit for i, e in enumerate(g) if e}
         corners -= hit
-        # untouched corners stay maximal; a split one may fall below another
-        pool = corners | split
-        corners |= {d for d in split if not any(d != e and divides(d, e) for e in pool)}
+        # untouched corners stay maximal; a split one may fall below another,
+        # which then comes after it in tuple order
+        above = sorted(corners | split)
+        corners |= {
+            d for d in split
+            if not any(map(all, map(map, repeat(le), repeat(d), above[bisect(above, d):])))
+        }
     return gens
 
 

@@ -9,14 +9,16 @@ TermMonoid packages the operations a polynomial ring over terms needs,
 and is the one place that enumerates, multiplies and divides terms.
 
 The componentwise primitives are C-level ``map`` kernels over ``operator``
-functions; the public ones (divides, lcm) still check arity, since
-``map``, like ``zip``, would silently truncate.
+functions. The public ones (divides, lcm) check arity, since ``map``, like
+``zip``, would silently truncate; scans over one ring's terms (minimal_terms,
+corner splitting, term membership) inline the unchecked all(map(le, a, b)).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Optional
 
@@ -71,7 +73,7 @@ def minimal_terms(terms: Iterable[Term]) -> set[Term]:
     pool = sorted(set(terms), key=lambda t: (sum(t), t))
     kept: list[Term] = []
     for t in pool:
-        if not any(divides(m, t) for m in kept):
+        if not any(map(all, map(map, repeat(le), kept, repeat(t)))):
             kept.append(t)
     return set(kept)
 

@@ -4,6 +4,7 @@ import random
 from bisect import insort
 
 from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder
+from escalier.polynomials import s_pair_remainders
 from escalier.terms import minimal_terms
 
 P = 32003
@@ -37,6 +38,12 @@ def monomial_oracle(gens, n, p=P, order=DEGLEX) -> CanOracle:
 
 def zero_oracle(n, p=P, order=DEGLEX) -> CanOracle:
     return CanOracle.commutative([], order, n=n, p=p)
+
+
+def is_groebner(basis, order) -> bool:
+    """Reference Groebner test: every pairwise S-polynomial reduces to
+    zero over the set (the check verify-gb prints pair by pair)."""
+    return all(r.is_zero() for _, _, r in s_pair_remainders(basis, order))
 
 
 def random_term(rng: random.Random, n: int, cap: int):

@@ -245,6 +245,16 @@ class TestForge:
         assert run(["forge", "--j", str(path), "--delta", "3"]) == 2
         _one_error_line(capsys)
 
+    def test_delta_past_the_scan_limit(self, tmp_path, capsys, monkeypatch):
+        # 2 * (2,000,000 + 2) scanned terms, refused before any completion
+        monkeypatch.setattr("escalier.forge.buchberger", None)
+        path = tmp_path / "j.ideal"
+        path.write_text("ring n=2 p=32003 order=deglex\nX1^2 + X2\n")
+        assert run(["forge", "--j", str(path), "--delta", "2000000", "--demo"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the forge scan of n * (delta + 2) terms exceeds the limit of 10^6 terms\n"
+        )
+
     def test_large_delta(self, tmp_path, capsys):
         # the cap lead comes from the basis leads, not from listing the
         # 1,503 * 1,502 / 2 terms of degree 1501
@@ -515,6 +525,29 @@ class TestInputValidation:
         argv = ["attack", "--private", str(priv), "--public", str(pub)]
         assert run(argv + bound) == 2
         _one_error_line(capsys)
+
+    def _refused_by_size(self, capsys, what):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} exceeds the limit of 10^6 terms\n"
+
+    def test_recon_box_of_thousands_of_digits(self, tmp_path, capsys, monkeypatch):
+        # 11^5000 terms: a size Python will not format as a decimal
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
+        ideal = tmp_path / "wide.ideal"
+        ideal.write_text("ring n=5000 p=7 order=deglex\nX1\n")
+        assert run(["recon", "--ideal", str(ideal), "--bound", "10"]) == 2
+        self._refused_by_size(capsys, "the box [0, bound]^n")
+
+    def test_keygen_noise_of_thousands_of_digits(self, tmp_path, capsys, monkeypatch):
+        # C(103000, 3000) terms per public polynomial, refused before any draw
+        monkeypatch.setattr("escalier.crypto.random_polynomial", None)
+        ideal = tmp_path / "wide.ideal"
+        ideal.write_text("ring n=3000 p=7 order=deglex\nX1^2\n")
+        argv = ["keygen", "--ideal", str(ideal), "--noise-degree", "100000"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
+        assert run(argv) == 2
+        self._refused_by_size(capsys, "the key noise")
 
     @pytest.mark.parametrize(
         "argv",

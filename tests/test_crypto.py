@@ -101,6 +101,9 @@ class TestKeygen:
         check_key_size(2, 998, 2, 1)
         with pytest.raises(ValueError):
             check_key_size(2, 999, 2, 1)
+        # a degree of thousands of digits is refused without its binomial
+        with pytest.raises(ValueError, match="exceeds the limit of 10\\^6 terms"):
+            check_key_size(3000, 10**5000, 1, 1)
 
 
 def toy_keys_with_m5():

@@ -2,13 +2,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from escalier.errors import ParseError
 from escalier.forge import build_counterexample, demonstrate_bound_necessity
 from escalier.oracle import CanOracle
-from escalier.polynomials import Reducer, gb_degree, is_groebner, normal_form
+from escalier.polynomials import Reducer, gb_degree, normal_form
 from escalier.staircase import reconstruct
 from escalier.terms import divides
 
-from helpers import DEGLEX, DEGREVLEX, LEX, poly
+from helpers import DEGLEX, DEGREVLEX, LEX, is_groebner, poly
 
 
 def degree_terms(n, d):
@@ -64,6 +65,21 @@ class TestBuild:
     def test_lex_rejected(self):
         with pytest.raises(ValueError):
             build_counterexample([poly("X1^2")], LEX, 3)
+
+    def test_scan_limit_edge(self, monkeypatch):
+        # n * (delta + 2) = 2 * 500,000 terms is the limit itself; one more
+        # is refused before the completion, which here stands in for work
+        class Completed(Exception):
+            pass
+
+        def completion(*args):
+            raise Completed
+
+        monkeypatch.setattr("escalier.forge.buchberger", completion)
+        with pytest.raises(Completed):
+            build_counterexample([poly("X1^2 + X2")], DEGLEX, 499_998)
+        with pytest.raises(ParseError, match="exceeds the limit of 10\\^6 terms"):
+            build_counterexample([poly("X1^2 + X2")], DEGLEX, 499_999)
 
 
 class TestAgreementBelowThreshold:

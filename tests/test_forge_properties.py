@@ -18,9 +18,11 @@ import pytest
 
 from escalier.forge import BoundDemo, build_counterexample, demonstrate_bound_necessity
 from escalier.oracle import CanOracle
-from escalier.polynomials import Polynomial, buchberger, gb_degree, is_groebner
+from escalier.polynomials import Polynomial, buchberger, gb_degree
 from escalier.staircase import reconstruct
 from escalier.terms import TermOrder, minimal_terms
+
+from helpers import is_groebner
 
 ORDERS = (TermOrder("deglex"), TermOrder("degrevlex"))
 PRIMES = (3, 7, 101, 32003)

@@ -13,11 +13,12 @@ from escalier.polynomials import (
     Polynomial,
     Reducer,
     buchberger,
-    is_groebner,
     normal_form,
     s_polynomial,
 )
 from escalier.terms import TermOrder, divides, lcm
+
+from helpers import is_groebner
 
 ORDERS = st.sampled_from([TermOrder(kind) for kind in ("lex", "deglex", "degrevlex")])
 PRIMES = st.sampled_from([7, 32003])

@@ -106,6 +106,17 @@ class TestLedger:
             o.member_T(t)
         assert o.queries == 3
 
+    @pytest.mark.parametrize(
+        "t", [(True, 0), (1, False), (1, -1), (1.0, 0), (1, 2.5), (1,), (1, 2, 3), "ab"]
+    )
+    def test_bad_terms_refused_and_not_charged(self, t):
+        o = toy_oracle()
+        with pytest.raises(ValueError):
+            o.member_T(t)
+        with pytest.raises(ValueError):
+            o.can_term(t)
+        assert o.queries == 0
+
     def test_can_poly_counts_support(self):
         o = toy_oracle()
         f = poly("X1^3 + 2*X2 + 7")

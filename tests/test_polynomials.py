@@ -11,7 +11,6 @@ from escalier.polynomials import (
     Reducer,
     buchberger,
     gb_degree,
-    is_groebner,
     normal_form,
     parse_ideal_file,
     parse_polynomial,
@@ -27,6 +26,7 @@ from helpers import (
     LEX,
     P,
     compare,
+    is_groebner,
     ncpoly,
     poly,
     random_poly,

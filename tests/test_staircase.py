@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,9 @@ EX51 = [(2, 2), (1, 3), (4, 1), (0, 8)]
 EX52 = [(3, 2)]
 EX53 = [(2, 4), (4, 3)]
 EX6 = [(1, 3, 4), (0, 5, 3), (3, 2, 2), (4, 0, 1)]
+CORNERS3 = [(2, 1, 0), (0, 2, 1), (1, 0, 3), (0, 0, 4)]
+CORNERS4 = [(1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 2), (3, 0, 0, 1), (0, 3, 0, 3)]
+CORNERS5 = [(1, 0, 1, 0, 0), (0, 2, 0, 0, 1), (0, 0, 0, 3, 0), (2, 0, 0, 0, 2), (0, 1, 2, 1, 0)]
 # box bound per variable count, shrinking so every n costs about the same
 BOUNDS = {1: 12, 2: 12, 3: 6, 4: 4, 5: 3, 6: 2}
 
@@ -99,6 +103,13 @@ class TestTwoVariables:
         check_box(3, 99)  # 100^3 = 10^6 terms, the limit itself
         with pytest.raises(ParseError):
             check_box(3, 100)
+
+    def test_box_limit_on_sizes_of_thousands_of_digits(self):
+        check_box(10_000, 0)  # a box of one term
+        with pytest.raises(ParseError, match="exceeds the limit of 10\\^6 terms"):
+            check_box(5000, 10)
+        with pytest.raises(ParseError):
+            check_box(10_000, 10**5000)
 
     def test_brute_force_refuses_a_huge_box(self):
         # 101^3 terms, just over the limit: refused before any query
@@ -205,6 +216,43 @@ class TestReconstruct:
             o = monomial_oracle(gens, n)
             res = reconstruct(o, n, bound)
             assert res.queries_used < (bound + 1) ** n
+
+    @pytest.mark.parametrize(
+        "gens,n,bound,binary,total,digest",
+        [
+            (CORNERS3, 3, 5, False, 32, "f307cb4947a7"),
+            (CORNERS3, 3, 5, True, 36, "63dfd8fd6d56"),
+            (CORNERS4, 4, 4, False, 42, "4f936e613f98"),
+            (CORNERS4, 4, 4, True, 49, "fa96cb835c33"),
+            (CORNERS5, 5, 3, False, 49, "c2ec1fe94208"),
+            (CORNERS5, 5, 3, True, 55, "7078c4bbf6e8"),
+        ],
+    )
+    def test_pinned_query_sequence(self, gens, n, bound, binary, total, digest):
+        # every query and its order, not only the count, is part of the
+        # behaviour a faster oracle or corner loop must keep: digest is
+        # the first 12 hex digits of sha256(repr(asked))
+        oracle, asked = monomial_oracle(gens, n), []
+
+        class Recorder:
+            p = oracle.p
+
+            @property
+            def queries(self):
+                return oracle.queries
+
+            def member_T(self, t):
+                asked.append(("member_T", t))
+                return oracle.member_T(t)
+
+            def can_term(self, t):
+                asked.append(("can_term", t))
+                return oracle.can_term(t)
+
+        res = reconstruct(Recorder(), n, bound, binary=binary)
+        assert res.generators == set(gens)
+        assert res.queries_used == len(asked) == total
+        assert hashlib.sha256(repr(asked).encode()).hexdigest()[:12] == digest
 
 
 class TestBinarySearchMode:
