@@ -132,11 +132,10 @@ def keygen(
     walked = d = 0
     while len(normal) < message_terms:
         walked += comb(n + d - 1, d)
-        if walked > MAX_TERMS:
-            raise ValueError(f"finding {message_terms} normal terms walks past {MAX_TERMS}")
+        check_size(walked, "the walk for normal terms")
         layer = [t for t in terms_of_degree(n, d) if not any(divides(lt, t) for lt in leads)]
         if d > 0 and not layer:
-            raise ValueError(f"only {len(normal)} normal terms exist, {message_terms} requested")
+            raise ValueError(f"only {len(normal)} normal terms exist, fewer than requested")
         normal.extend(sorted(layer, key=order.key))
         d += 1
     normal = normal[:message_terms]

@@ -6,10 +6,13 @@ walks the staircase outward from the first diagonal hit; in three or more
 it learns the staircase through its corners, the maximal box terms
 outside the generators found so far: an inside corner is lowered one
 coordinate at a time to a new generator, which splits every corner it
-divides, until every corner is confirmed outside.
+divides, until every corner is confirmed outside. Pending corners wait in
+a heap, smallest first, and each lowering scan reads the answers already
+known, so no term is asked twice.
 
-Every scan is a linear walk by default; pass binary=True to bisect the
-same monotone scans (membership along a ray only switches once).
+Every scan is a linear walk by default, a lowering one upward from 0; pass
+binary=True to bisect the same monotone scans (membership along a ray
+only switches once).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product, repeat
 from operator import le
 from typing import Callable
@@ -127,28 +131,37 @@ def _two_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
 def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
     """In-box generators by corner splitting (see the module docstring);
     the cost follows the generators and corners, not the box."""
+    member_T = oracle.member_T
     gens: set[Term] = set()
     corners = {(bound,) * n}
+    pending = [(bound,) * n]  # heap of corners to ask, smallest first; stale ones skipped
     known: dict[Term, bool] = {}
-
-    def member(t: Term) -> bool:
-        inside = known.get(t)
-        if inside is None:
-            inside = known[t] = oracle.member_T(t)
-        return inside
-
-    # a known corner is confirmed outside: inside ones are split away
-    while pending := corners - known.keys():
-        c = min(pending)
-        if not member(c):
+    while pending:
+        c = heappop(pending)
+        # stale: an asked corner is confirmed outside, or c was split away
+        if c in known or c not in corners:
             continue
-        # lower each coordinate in turn to its least inside value; the
+        known[c] = inside = member_T(c)
+        if not inside:
+            continue
+        # lower each coordinate in turn to its least inside value by one
+        # monotone scan: bisection, or in linear mode upward from 0; the
         # current value is known inside, so reaching it costs no query
         g = c
         for i in range(n):
             head, tail = g[:i], g[i + 1 :]
-            lowered = lambda v, head=head, tail=tail: member(head + (v,) + tail)
-            g = head + (_scan_min_true(lowered, 0, g[i], binary),) + tail
+            lo, hi = 0, g[i]
+            while lo < hi:
+                mid = (lo + hi) // 2 if binary else lo
+                t = head + (mid,) + tail
+                inside = known.get(t)
+                if inside is None:
+                    inside = known[t] = member_T(t)
+                if inside:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            g = head + (lo,) + tail
         gens.add(g)
         hit = {d for d in corners if all(map(le, g, d))}  # g divides d
         split = {d[:i] + (e - 1,) + d[i + 1 :] for d in hit for i, e in enumerate(g) if e}
@@ -156,10 +169,10 @@ def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
         # untouched corners stay maximal; a split one may fall below another,
         # which then comes after it in tuple order
         above = sorted(corners | split)
-        corners |= {
-            d for d in split
-            if not any(map(all, map(map, repeat(le), repeat(d), above[bisect(above, d):])))
-        }
+        for d in split:
+            if not any(map(all, map(map, repeat(le), repeat(d), above[bisect(above, d):]))):
+                corners.add(d)
+                heappush(pending, d)
     return gens
 
 
@@ -182,8 +195,10 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
     start = oracle.queries
     gens = _generators(oracle, n, bound, binary)
     ordered = sorted(gens, key=lambda t: (sum(t), t))
+    # t - Can(t) in one dict: Can(t) is normal, so it holds no term t
     basis = tuple(
-        Polynomial.term(t, oracle.p) - oracle.can_term(t) for t in ordered
+        Polynomial._ring(n, oracle.p, {t: 1, **{s: -c for s, c in oracle.can_term(t).items()}})
+        for t in ordered
     )
     return StaircaseResult(
         generators=frozenset(gens),

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
 import random
-from bisect import insort
+from bisect import bisect, insort
+from itertools import repeat
+from operator import le
 
 from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder
 from escalier.polynomials import s_pair_remainders
@@ -96,6 +98,49 @@ def reference_peel(oracle, start):
         else:
             return (head,) + body
     return (head,)
+
+
+def reference_corner_generators(oracle, n, bound, binary):
+    """Corner splitting as the library wrote it before its heap of pending
+    corners and its inline lowering, kept as the reference for the query
+    sequence: the smallest unasked corner is found by rebuilding the set
+    each turn, and each lowering probe runs through the memo closure."""
+    from escalier.staircase import _scan_min_true
+
+    gens = set()
+    corners = {(bound,) * n}
+    known = {}
+
+    def member(t):
+        inside = known.get(t)
+        if inside is None:
+            inside = known[t] = oracle.member_T(t)
+        return inside
+
+    # a known corner is confirmed outside: inside ones are split away
+    while pending := corners - known.keys():
+        c = min(pending)
+        if not member(c):
+            continue
+        # lower each coordinate in turn to its least inside value; the
+        # current value is known inside, so reaching it costs no query
+        g = c
+        for i in range(n):
+            head, tail = g[:i], g[i + 1 :]
+            lowered = lambda v, head=head, tail=tail: member(head + (v,) + tail)
+            g = head + (_scan_min_true(lowered, 0, g[i], binary),) + tail
+        gens.add(g)
+        hit = {d for d in corners if all(map(le, g, d))}  # g divides d
+        split = {d[:i] + (e - 1,) + d[i + 1 :] for d in hit for i, e in enumerate(g) if e}
+        corners -= hit
+        # untouched corners stay maximal; a split one may fall below another,
+        # which then comes after it in tuple order
+        above = sorted(corners | split)
+        corners |= {
+            d for d in split
+            if not any(map(all, map(map, repeat(le), repeat(d), above[bisect(above, d):])))
+        }
+    return gens
 
 
 def reference_normal_form(f, basis, order):

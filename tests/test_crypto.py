@@ -89,9 +89,19 @@ class TestKeygen:
 
         monkeypatch.setattr("escalier.crypto.terms_of_degree", recording)
         gens = [Polynomial.term((2,) + (0,) * 1999, 7)]
-        with pytest.raises(ValueError, match="walks past 1000000"):
+        with pytest.raises(ValueError, match="exceeds the limit of 10\\^6 terms"):
             keygen(gens, DEGLEX, 1, 0, 3000, random.Random(0))
         assert listed == [0, 1]
+
+    def test_message_terms_of_thousands_of_digits_refused_in_words(self):
+        # neither refusal formats the requested count, which has more
+        # digits than Python will print
+        wide = [Polynomial.term((2,) + (0,) * 1999, 7)]
+        with pytest.raises(ValueError, match="exceeds the limit of 10\\^6 terms"):
+            keygen(wide, DEGLEX, 1, 0, 10**5000, random.Random(0))
+        finite = [poly("X1^2", p=7), poly("X2^2", p=7)]
+        with pytest.raises(ValueError, match="only 4 normal terms exist, fewer than requested"):
+            keygen(finite, DEGLEX, 1, 0, 10**5000, random.Random(0))
 
     def test_key_size_limit_edge(self):
         from escalier.crypto import check_key_size

@@ -5,8 +5,9 @@ import pytest
 
 from escalier.errors import ParseError
 from escalier.oracle import CanOracle
-from escalier.polynomials import buchberger
+from escalier.polynomials import Polynomial, buchberger
 from escalier.staircase import (
+    _corner_generators,
     brute_force_generators,
     check_box,
     parse_result,
@@ -15,9 +16,11 @@ from escalier.staircase import (
 )
 from helpers import (
     DEGLEX,
+    P,
     monomial_oracle,
     poly,
     random_monomial_ideal,
+    reference_corner_generators,
     zero_oracle,
 )
 
@@ -253,6 +256,78 @@ class TestReconstruct:
         assert res.generators == set(gens)
         assert res.queries_used == len(asked) == total
         assert hashlib.sha256(repr(asked).encode()).hexdigest()[:12] == digest
+
+    def test_corner_loop_asks_what_its_reference_asks(self):
+        # the heap of pending corners and the inline lowering keep the
+        # reference loop's member_T sequence and generators exactly
+        rng = random.Random(47)
+        cases = [(ideal, n, 4) for n in range(3, 7) for ideal in ([], [poly("1", n)])]
+        for _ in range(150):
+            n, bound = rng.randint(3, 6), rng.randint(0, 6)
+            terms = [_sparse_term(rng, n, bound + 1) for _ in range(rng.randint(2, 8))]
+            if rng.random() < 0.5:
+                ideal = [Polynomial.term(t, P) for t in terms]
+            else:  # binomials: the leading-term ideal of a completed basis
+                ideal = [Polynomial(n, P, {a: 1, b: P - 1}) for a, b in zip(terms[::2], terms[1::2])]
+            cases.append((ideal, n, bound))
+        for ideal, n, bound in cases:
+            oracle = CanOracle.commutative(ideal, DEGLEX, n=n, p=P)
+            for binary in (False, True):
+                asked, expected = [], []
+                got = _corner_generators(_Asking(oracle, asked), n, bound, binary)
+                want = reference_corner_generators(_Asking(oracle, expected), n, bound, binary)
+                assert asked == expected
+                assert got == want
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_never_asks_a_term_twice(self, n, binary):
+        # the corner memo is the only guard against repeats; the inline
+        # probe reads it before every query
+        rng = random.Random(48 + n)
+        for _ in range(10):
+            gens = [_sparse_term(rng, n, BOUNDS[n]) for _ in range(rng.randint(2, 8))]
+            res = reconstruct(_Once(monomial_oracle(gens, n)), n, BOUNDS[n], binary=binary)
+            assert res.generators == brute_force_generators(monomial_oracle(gens, n), n, BOUNDS[n])
+
+
+def _sparse_term(rng, n, top):
+    """A nonunit term with about 40% of its exponents in 1..top, the rest
+    0, so that most generators of a few such terms fall inside the box."""
+    t = [rng.randint(1, top) if rng.random() < 0.4 else 0 for _ in range(n)]
+    t[rng.randrange(n)] = rng.randint(1, top)
+    return tuple(t)
+
+
+class _Asking:
+    """Oracle proxy that records every member_T term it passes on."""
+
+    def __init__(self, oracle, asked):
+        self.oracle, self.asked = oracle, asked
+
+    def member_T(self, t):
+        self.asked.append(t)
+        return self.oracle.member_T(t)
+
+
+class _Once:
+    """Oracle proxy that refuses to answer a member_T term twice."""
+
+    def __init__(self, oracle):
+        self.oracle, self.p, self.asked = oracle, oracle.p, set()
+
+    @property
+    def queries(self):
+        return self.oracle.queries
+
+    def member_T(self, t):
+        if t in self.asked:
+            raise AssertionError(f"member_T asked {t} twice")
+        self.asked.add(t)
+        return self.oracle.member_T(t)
+
+    def can_term(self, t):
+        return self.oracle.can_term(t)
 
 
 class TestBinarySearchMode:
