@@ -1,9 +1,11 @@
 """Command-line front end: build oracles from ideal files, run the
 reconstructions and attacks, and emit the documented text formats.
 
-Exit codes: 0 success, 1 math-layer error, 2 usage or parse error; each
-error is one ``error:`` line on stderr. All randomness flows from --seed,
-so identical invocations produce identical bytes.
+Exit codes, all set in run(): 0 success, 1 math-layer error, 2 a refused
+request (a ParseError, raised by the check that decides it) or a file
+that cannot be read; each error is one ``error:`` line on stderr. All
+randomness flows from --seed, so identical invocations produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from .oracle import CanOracle
 from .peeling import covering_basis
 from .polynomials import (
     Reducer,
+    content_lines,
     parse_ideal_file,
     parse_polynomial,
     render_ideal_file,
     s_pair_remainders,
 )
 from .staircase import brute_force_generators, check_box, reconstruct, render_result
-from .terms import TermOrder
+from .terms import ORDER_KINDS, TermOrder
 from .words import WordMonoid
 
 
@@ -79,10 +82,7 @@ def _cmd_nc_recon(args) -> int:
 
 def _cmd_forge(args) -> int:
     n, p, order, polys = _load_ideal(args.j, args.order)
-    try:
-        pair = forge.build_counterexample(polys, order, args.delta)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    pair = forge.build_counterexample(polys, order, args.delta)
     if args.out:
         stem = Path(args.out)
         Path(f"{stem}.shifted.ideal").write_text(
@@ -104,12 +104,9 @@ def _cmd_forge(args) -> int:
 def _cmd_keygen(args) -> int:
     n, p, order, polys = _load_ideal(args.ideal, args.order)
     rng = random.Random(args.seed)
-    try:
-        keys = crypto.keygen(
-            polys, order, args.public_count, args.noise_degree, args.message_terms, rng
-        )
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    keys = crypto.keygen(
+        polys, order, args.public_count, args.noise_degree, args.message_terms, rng
+    )
     Path(args.out_private).write_text(
         render_ideal_file(keys.basis.elements, keys.basis.order, n, p)
     )
@@ -168,9 +165,9 @@ def _cmd_nc_probe(args) -> int:
 
 def _cmd_verify_gb(args) -> int:
     text = Path(args.ideal).read_text()
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
+    head, *_ = content_lines(text) or [""]
     ok = True
-    if head == "free":
+    if head.split()[:1] == ["free"]:
         if args.order is not None:
             raise ParseError("--order does not apply to a free-algebra file")
         n, p, polys = parse_free_file(text)
@@ -224,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         if queries:
             sp.add_argument("--queries", action="store_true", help="print the ledger")
         if order:
-            sp.add_argument(
-                "--order", choices=["lex", "deglex", "degrevlex"], help="override the file order"
-            )
+            sp.add_argument("--order", choices=ORDER_KINDS, help="override the file order")
 
     sp = sub.add_parser("recon", help="reconstruct staircase generators")
     sp.add_argument("--ideal", required=True)
@@ -314,7 +309,7 @@ def run(argv=None) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ParseError(f"{flag} must be at least {least}, got {value}")
         return args.handler(args)
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -93,7 +93,7 @@ class Ciphertext:
 
     def __post_init__(self):
         if self.poly.degree() > self.degree_cap:
-            raise ValueError("ciphertext exceeds its declared degree cap")
+            raise ParseError("ciphertext exceeds its declared degree cap")
 
 
 def keygen(
@@ -114,17 +114,17 @@ def keygen(
     normal terms before a layer takes it past MAX_TERMS terms.
     """
     if count_public < 1 or noise_degree < 0 or message_terms < 0:
-        raise ValueError(
+        raise ParseError(
             "keygen needs count_public >= 1, noise_degree >= 0 and message_terms >= 0"
         )
     if not order.degree_compatible:
-        raise ValueError("key generation needs a degree-compatible order")
+        raise ParseError("key generation needs a degree-compatible order")
     basis = buchberger(generators, order)
     n, p = basis.elements[0].n, basis.elements[0].p
     check_key_size(n, noise_degree, len(basis.elements), count_public)
     leads = basis.leading_terms()
     if any(sum(t) == 0 for t in leads):
-        raise ValueError("the ideal is the whole ring; nothing can be hidden")
+        raise ParseError("the ideal is the whole ring; nothing can be hidden")
 
     # normal terms: walk degree layers in order until enough survive;
     # an empty layer means none of higher degree exist either
@@ -135,7 +135,7 @@ def keygen(
         check_size(walked, "the walk for normal terms")
         layer = [t for t in terms_of_degree(n, d) if not any(divides(lt, t) for lt in leads)]
         if d > 0 and not layer:
-            raise ValueError(f"only {len(normal)} normal terms exist, fewer than requested")
+            raise ParseError(f"only {len(normal)} normal terms exist, fewer than requested")
         normal.extend(sorted(layer, key=order.key))
         d += 1
     normal = normal[:message_terms]
@@ -326,7 +326,4 @@ def parse_ciphertext(text: str) -> Ciphertext:
     if len(lines) != 2:
         raise ParseError("ciphertext file needs a header and one polynomial")
     n, p, cap = header(lines[0], "cipher", ("n", "p", "delta"))
-    poly = parse_polynomial(lines[1], n, p)
-    if poly.degree() > cap:
-        raise ParseError("ciphertext exceeds its declared degree cap")
-    return Ciphertext(poly=poly, degree_cap=cap)
+    return Ciphertext(poly=parse_polynomial(lines[1], n, p), degree_cap=cap)

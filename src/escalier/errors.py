@@ -1,6 +1,7 @@
 class ParseError(ValueError):
-    """Malformed textual input (terms, words, polynomials, files), or a
-    request refused by its size before any work."""
+    """A request refused before any work, at the check that decides it:
+    malformed text or arguments, an oversized request, or a ring the
+    request cannot use. The CLI exits 2 on it."""
 
 
 # the most terms one request may make the library list, query or draw
@@ -12,3 +13,12 @@ def check_size(size: int, what: str) -> None:
     which can have more digits than Python will print."""
     if size > MAX_TERMS:
         raise ParseError(f"{what} exceeds the limit of 10^6 terms")
+
+
+def decimal(digits: str) -> int:
+    """The int a run of decimal digits spells; a run past Python's limit
+    on digits is refused, and the message does not echo it."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("an integer has more digits than Python converts") from None

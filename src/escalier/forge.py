@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import check_size
+from .errors import ParseError, check_size
 from .oracle import CanOracle
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, gb_degree, normal_form
 from .staircase import reconstruct
@@ -72,17 +72,15 @@ def build_counterexample(
     else:
         gens = tuple(generators)
     if not order.degree_compatible:
-        raise ValueError("the construction needs a degree-compatible order")
+        raise ParseError("the construction needs a degree-compatible order")
     if gens:
         if gens[0].n < 2:
-            raise ValueError("the construction needs at least two variables")
+            raise ParseError("the construction needs at least two variables")
         check_size(gens[0].n * (agree_degree + 2), "the forge scan of n * (delta + 2) terms")
     base = generators if isinstance(generators, GroebnerBasis) else buchberger(gens, order)
     n, p = base.elements[0].n, base.elements[0].p
     if agree_degree < gb_degree(base) + 1:
-        raise ValueError(
-            f"agreement degree must be at least {gb_degree(base) + 1}"
-        )
+        raise ParseError(f"agreement degree must be at least {gb_degree(base) + 1}")
 
     def pad(t: Term) -> Term:
         return (t[0] + agree_degree + 1 - sum(t),) + t[1:]

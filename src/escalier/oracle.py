@@ -100,11 +100,11 @@ class CanOracle:
         order = NcPolynomial.monoid.default_order
         elems = [g for g in basis if not g.is_zero()]
         if not elems:
-            raise ValueError("free-algebra oracle needs a nonempty basis")
+            raise ParseError("free-algebra oracle needs a nonempty basis")
         validate_prime(elems[0].p)
         elems = [g.monic(order) for g in elems]
         if any(not g.leading_term(order) for g in elems):
-            raise ValueError("basis generates the whole free algebra (a lead is 1)")
+            raise ParseError("basis generates the whole free algebra (a lead is 1)")
         reducer = Reducer(elems, order)
         if not overlap_check(reducer):
             raise ValueError("basis fails the overlap confluence check")

@@ -14,13 +14,12 @@ line ``ring n=<n> p=<p> order=<kind>`` followed by one polynomial per line;
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError
+from .errors import ParseError, decimal
 from .field import inv_mod, validate_prime
 from .terms import Term, TermMonoid, TermOrder, divides, lcm, minimal_terms
 
@@ -177,18 +176,15 @@ def parse_polynomial(text: str, n: int, p: int, cls: type = Polynomial) -> Polyn
         mono = chunk.strip()
         if not mono:
             continue
-        sign = 1
+        coeff, t = 1, monoid.one(n)
         if mono.startswith("-"):
-            sign = -1
-            mono = mono[1:].strip()
+            coeff, mono = -1, mono[1:].strip()
             if not mono:
                 raise ParseError("dangling sign")
-        coeff = sign
-        t = monoid.one(n)
         for raw in mono.split("*"):
             factor = raw.strip()
-            if re.fullmatch(r"\d+", factor):
-                coeff *= int(factor)
+            if factor.isdecimal():
+                coeff *= decimal(factor)
             else:
                 t = monoid.mul(t, monoid.parse(factor, n))
         coeffs[t] = coeffs.get(t, 0) + coeff
@@ -351,7 +347,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        raise ValueError("cannot complete a basis from zero generators")
+        raise ParseError("cannot complete a basis from zero generators")
     key, f = order.key, gens[0]
     for g in gens:
         f._compatible(g)

@@ -25,7 +25,7 @@ from itertools import product, repeat
 from operator import le
 from typing import Callable
 
-from .errors import ParseError, check_size
+from .errors import ParseError, check_size, decimal
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
 from .terms import Term, minimal_terms, parse_term, term_to_text
 
@@ -248,7 +248,7 @@ def parse_result(text: str) -> StaircaseResult:
     return StaircaseResult(
         generators=frozenset(gens),
         reduced_basis=basis,
-        queries_used=int(queries.group(1)),
+        queries_used=decimal(queries[1]),
         bound=bound,
         nvars=n,
         modulus=p,

@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError
+from .errors import ParseError, decimal
 
 Term = tuple[int, ...]
 
@@ -108,7 +108,7 @@ class TermOrder:
         return (sum(t), tuple(map(neg, t)))
 
 
-_FACTOR = re.compile(r"^X(\d+)(?:\^(\d+))?$")
+_FACTOR = re.compile(r"X(\d+)(?:\^(\d+))?")
 
 
 def term_to_text(t: Term) -> str:
@@ -122,23 +122,31 @@ def term_to_text(t: Term) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_term(text: str, n: int) -> Term:
-    """Parse the term grammar (optional whitespace around factors)."""
+def read_monomial(text: str, n: int, factor: re.Pattern, what: str) -> Iterator[tuple[int, int]]:
+    """(i, e) for each factor Xi or Xi^e of a '*'-joined product, 1 factors
+    skipped. factor is the grammar's pattern for one factor: group 1 the
+    index, an optional group 2 the exponent; what names it in refusals."""
     body = text.strip()
     if not body:
-        raise ParseError("empty term")
-    exps = [0] * n
+        raise ParseError(f"empty {what}")
     for raw in body.split("*"):
-        factor = raw.strip()
-        if factor == "1":
+        part = raw.strip()
+        if part == "1":
             continue
-        m = _FACTOR.match(factor)
+        m = factor.fullmatch(part)
         if not m:
-            raise ParseError(f"bad term factor {factor!r}")
-        i = int(m.group(1))
+            raise ParseError(f"bad {what} factor {part!r}")
+        i = decimal(m[1])
         if not 1 <= i <= n:
             raise ParseError(f"variable X{i} out of range 1..{n}")
-        exps[i - 1] += int(m.group(2)) if m.group(2) else 1
+        yield i, decimal(m[2]) if m.lastindex == 2 else 1
+
+
+def parse_term(text: str, n: int) -> Term:
+    """Parse the term grammar: factors Xi and Xi^e, exponents adding up."""
+    exps = [0] * n
+    for i, e in read_monomial(text, n, _FACTOR, "term"):
+        exps[i - 1] += e
     return tuple(exps)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .errors import ParseError
+from .terms import read_monomial
 
 Word = tuple[int, ...]
 
@@ -43,7 +43,7 @@ class WordOrder:
         return (len(w), w)
 
 
-_LETTER = re.compile(r"^X(\d+)$")
+_LETTER = re.compile(r"X(\d+)")
 
 
 def word_to_text(w: Word) -> str:
@@ -52,24 +52,8 @@ def word_to_text(w: Word) -> str:
 
 
 def parse_word(text: str, n: int) -> Word:
-    body = text.strip()
-    if not body:
-        raise ParseError("empty word")
-    if body == "1":
-        return ()
-    letters = []
-    for raw in body.split("*"):
-        factor = raw.strip()
-        if factor == "1":
-            continue
-        m = _LETTER.match(factor)
-        if not m:
-            raise ParseError(f"bad word factor {factor!r}")
-        i = int(m.group(1))
-        if not 1 <= i <= n:
-            raise ParseError(f"variable X{i} out of range 1..{n}")
-        letters.append(i)
-    return tuple(letters)
+    """Parse the word grammar: the term grammar's product with no ^."""
+    return tuple(i for i, _ in read_monomial(text, n, _LETTER, "word"))
 
 
 class WordMonoid:

@@ -53,8 +53,12 @@ def random_term(rng: random.Random, n: int, cap: int):
 
 
 def random_monomial_ideal(rng: random.Random, n: int, cap: int, kmax: int = 5):
-    """Nonempty divisibility-minimal set of nonunit terms inside the cap box."""
-    k = rng.randrange(1, kmax + 1)
+    """Nonempty divisibility-minimal set of nonunit terms inside the cap
+    box, from at most kmax distinct draws and no more than the box holds."""
+    nonunit = (cap + 1) ** n - 1
+    if nonunit < 1:
+        raise ValueError(f"the box [0, {cap}]^{n} holds no nonunit term")
+    k = rng.randrange(1, min(kmax, nonunit) + 1)
     gens = set()
     while len(gens) < k:
         t = random_term(rng, n, cap)

@@ -107,6 +107,13 @@ class TestVerifyGb:
         assert run(["verify-gb", "--ideal", str(path)] + flags) == 2
         _one_error_line(capsys)
 
+    def test_nc_file_opening_with_a_comment(self, tmp_path, capsys):
+        # the kind is read from the first content line, as nc-recon reads it
+        path = tmp_path / "nc.free"
+        path.write_text("# a verified basis\n\n" + NC_PRIVATE)
+        assert run(["verify-gb", "--ideal", str(path)]) == 0
+        assert capsys.readouterr().out == "ambiguities resolve: True\n"
+
 
 class TestCryptoCommands:
     def test_full_cycle(self, tmp_path, capsys):
@@ -596,13 +603,72 @@ class TestInputValidation:
         assert time.perf_counter() - start < 1
         _one_error_line(capsys)
 
-    def test_free_unit_ideal_exit_1(self, tmp_path, capsys):
-        priv = tmp_path / "unit.free"
-        priv.write_text("free n=2 p=32003\n1\n")
+    @pytest.mark.parametrize("command", ["nc-recon", "nc-probe"])
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ("", "free-algebra oracle needs a nonempty basis"),
+            ("0\n", "free-algebra oracle needs a nonempty basis"),
+            ("1\n", "basis generates the whole free algebra (a lead is 1)"),
+            ("X1*X2\n3\n", "basis generates the whole free algebra (a lead is 1)"),
+        ],
+        ids=["empty", "zero", "unit", "constant"],
+    )
+    def test_free_private_file_refused(self, command, basis, message, tmp_path, capsys):
+        # refused like keygen and forge refuse such a ring file: exit 2
+        priv = tmp_path / "priv.free"
+        priv.write_text("free n=2 p=32003\n" + basis)
         pub = tmp_path / "pub.free"
-        pub.write_text("free n=2 p=32003\nX1*X2\n")
-        assert run(["nc-recon", "--ideal", str(priv), "--public", str(pub)]) == 1
+        pub.write_text(NC_PUBLIC)
+        flag = "--ideal" if command == "nc-recon" else "--private"
+        assert run([command, flag, str(priv), "--public", str(pub)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["nc-recon", "nc-probe"])
+    def test_free_basis_failing_confluence_exit_1(self, command, tmp_path, capsys):
+        # a well-formed basis whose ambiguities do not resolve: a math failure
+        priv = tmp_path / "priv.free"
+        priv.write_text("free n=2 p=32003\nX1*X1 - X2\n")
+        pub = tmp_path / "pub.free"
+        pub.write_text(NC_PUBLIC)
+        flag = "--ideal" if command == "nc-recon" else "--private"
+        assert run([command, flag, str(priv), "--public", str(pub)]) == 1
+        assert capsys.readouterr().err == "error: basis fails the overlap confluence check\n"
+
+    def test_directory_as_input_exit_2(self, tmp_path, capsys):
+        assert run(["recon", "--ideal", str(tmp_path), "--bound", "3"]) == 2
         _one_error_line(capsys)
+
+    def test_directory_as_output_exit_2(self, ex51, tmp_path, capsys):
+        assert run(["recon", "--ideal", str(ex51), "--bound", "3", "--out", str(tmp_path)]) == 2
+        _one_error_line(capsys)
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ideal"
+        path.write_bytes(b"ring n=2 p=32003 order=deglex\nX1 # na\xefve\n")
+        assert run(["recon", "--ideal", str(path), "--bound", "3"]) == 2
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "head", ["ring n=2 p=32003 order=deglex", "free n=2 p=32003"], ids=["ring", "free"]
+    )
+    @pytest.mark.parametrize(
+        "line", ["X1^{}", "X{}", "{}*X1"], ids=["exponent", "index", "coefficient"]
+    )
+    def test_integers_past_the_digit_limit(self, head, line, tmp_path, capsys):
+        # exponent, variable index and coefficient of 5,000 digits; a word
+        # has no exponents, so X1^... is a bad word factor there
+        digits = "9" * 5000
+        path = tmp_path / "long"
+        path.write_text(f"{head}\n{line.format(digits)}\n")
+        argv = ["recon", "--ideal", str(path), "--bound", "3"]
+        if head.startswith("free"):
+            argv = ["nc-recon", "--ideal", str(path), "--public", str(path)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        if line != "X1^{}" or head.startswith("ring"):
+            assert digits not in err
 
     def test_runtime_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(oracle, publics, trace=None):

@@ -200,6 +200,13 @@ class TestReconstruct:
             # the sampled generators are the oracle-free ground truth here
             assert _agrees_with_brute_force(gens, n, bound) == set(gens)
 
+    def test_random_ideal_fits_a_small_box(self):
+        # [0, 2]^1 holds two nonunit terms: at most two draws, then it returns
+        for seed in range(40):
+            assert random_monomial_ideal(random.Random(seed), 1, 2) in ({(1,)}, {(2,)})
+        with pytest.raises(ValueError, match="no nonunit term"):
+            random_monomial_ideal(random.Random(0), 1, 0)
+
     def test_equivalence_generators_outside_box(self):
         rng = random.Random(43)
         for _ in range(40):

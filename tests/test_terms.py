@@ -15,6 +15,7 @@ from escalier.terms import (
     terms_of_degree,
     variable,
 )
+from escalier.words import parse_word
 
 from helpers import DEGLEX, DEGREVLEX, LEX, compare, random_term
 
@@ -189,6 +190,36 @@ class TestText:
             parse_term("Y1", 2)
         with pytest.raises(ParseError):
             parse_term("X3", 2)
+
+
+# text, then the term and the word it gives in 2 variables, or the
+# message of the ParseError each refuses it with
+GRAMMAR = [
+    ("", "empty term", "empty word"),
+    ("1", (0, 0), ()),
+    ("1*1", (0, 0), ()),
+    ("  X2 *  X1 * X2 ", (1, 2), (2, 1, 2)),
+    ("X1^2", (2, 0), "bad word factor 'X1^2'"),
+    ("X1^", "bad term factor 'X1^'", "bad word factor 'X1^'"),
+    ("X0", "variable X0 out of range 1..2", "variable X0 out of range 1..2"),
+    ("X3", "variable X3 out of range 1..2", "variable X3 out of range 1..2"),
+    ("Y1", "bad term factor 'Y1'", "bad word factor 'Y1'"),
+    ("2*X1", "bad term factor '2'", "bad word factor '2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [(parse_term, text, term) for text, term, _ in GRAMMAR]
+    + [(parse_word, text, word) for text, _, word in GRAMMAR],
+)
+def test_one_grammar_verdicts(parse, text, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as refused:
+            parse(text, 2)
+        assert str(refused.value) == want
+    else:
+        assert parse(text, 2) == want
 
 
 def test_minimal_terms():
