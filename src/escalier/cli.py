@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import crypto, forge
-from .errors import ParseError
+from .errors import ParseError, clip
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -205,7 +205,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ParseError(message)
+        raise ParseError(clip(message, 200))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +307,7 @@ def run(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 flag = "--" + name.replace("_", "-")
-                raise ParseError(f"{flag} must be at least {least}, got {value}")
+                raise ParseError(f"{flag} must be at least {least}, got {clip(str(value))}")
         return args.handler(args)
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

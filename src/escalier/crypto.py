@@ -17,7 +17,7 @@ from itertools import chain, islice
 from math import comb
 from typing import Iterable, Optional
 
-from .errors import MAX_TERMS, ParseError, check_size
+from .errors import MAX_TERMS, ParseError, check_size, clip
 from .nc_polynomials import NcPolynomial
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -168,7 +168,7 @@ def encrypt(pk: PublicKey, message: Polynomial, rng: random.Random) -> Ciphertex
     """message + sum of random noise multiples of the public polynomials."""
     allowed = set(pk.normal_terms)
     if not message.support() <= allowed:
-        raise ValueError("message uses terms outside the public alphabet")
+        raise ParseError("message uses terms outside the public alphabet")
     c = message
     for g in pk.generators:
         c = c + random_polynomial(pk.n, pk.p, pk.noise_degree, rng) * g
@@ -303,7 +303,7 @@ def parse_public_key(text: str) -> PublicKey:
         elif ln.startswith("t "):
             terms.append(parse_term(ln[2:], n))
         else:
-            raise ParseError(f"bad public key line: {ln!r}")
+            raise ParseError(f"bad public key line: {clip(ln)!r}")
     if not gens:
         raise ParseError("public key has no generators")
     return PublicKey(

@@ -8,6 +8,11 @@ class ParseError(ValueError):
 MAX_TERMS = 10**6
 
 
+def clip(text: str, limit: int = 60) -> str:
+    """text to echo in a refusal, cut to limit characters and "..."."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def check_size(size: int, what: str) -> None:
     """Refuse more than MAX_TERMS terms; the message never formats size,
     which can have more digits than Python will print."""

@@ -7,6 +7,8 @@ default prime.
 
 from functools import lru_cache
 
+from .errors import clip
+
 
 # oracles and file headers ask again and again: one trial division per modulus
 @lru_cache
@@ -29,7 +31,7 @@ _MAX_MODULUS = 2**31 - 1
 
 def validate_prime(p: int) -> int:
     if p > _MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds the limit of {_MAX_MODULUS}")
+        raise ValueError(f"modulus {clip(str(p))} exceeds the limit of {_MAX_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p

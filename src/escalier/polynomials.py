@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError, decimal
+from .errors import ParseError, clip, decimal
 from .field import inv_mod, validate_prime
-from .terms import Term, TermMonoid, TermOrder, divides, lcm, minimal_terms
+from .terms import Term, TermMonoid, TermOrder, minimal_terms, packed_monoid
 
 
 class Polynomial:
@@ -211,7 +212,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     f._compatible(g)
     tf, cf = f.leading_data(order)
     tg, cg = g.leading_data(order)
-    d = lcm(tf, tg)
+    d = f.monoid.lcm(tf, tg)
     p, cofactor, apply = f.p, f.monoid.cofactor, f.monoid.apply
     qg, mg = cofactor(tg, d), inv_mod(cg, p)
     qf, mf = cofactor(tf, d), -inv_mod(cf, p)
@@ -341,6 +342,11 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     tail over it is unique, so each element's lead plus the normal form
     of its tail is the reduced element.
 
+    Graded orders run the loop on terms.packed_monoid with w = bit_length
+    (largest generator degree) + 2: reduction never raises a degree, so
+    all terms fit while leads stay below degree 2^(w-1); a lead past that
+    restarts with 2w. Lex reduction can raise degrees: lex runs on tuples.
+
     The generators must share one ring. Monomial generators form no
     pairs: the reduced basis of a monomial ideal is its minimal
     monomials, monic, in the same ascending order.
@@ -348,59 +354,90 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ParseError("cannot complete a basis from zero generators")
-    key, f = order.key, gens[0]
+    f = gens[0]
     for g in gens:
         f._compatible(g)
     if all(len(g._coeffs) == 1 for g in gens):
-        least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=key)
+        least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=order.key)
         return GroebnerBasis(tuple(f._ring(f.n, f.p, {t: 1}) for t in least), order)
-    gens = [g.monic(order) for g in gens]
-    reducer = Reducer((), order)
-    basis: list[Polynomial] = []
-    leads: list[Term] = []
-    alive: list[int] = []
-    pending: dict[tuple[int, int], Term] = {}
-    heap: list = []
+    if not order.degree_compatible:
+        reduced = _complete([g.monic(order) for g in gens], order)
+        return GroebnerBasis(tuple(f._ring(f.n, f.p, c) for c in reduced), order)
+    n, p = f.n, f.p
+    w = max(g.degree() for g in gens).bit_length() + 2
+    while True:
+        ring = _packed_ring(n, order.kind, w)
+        codec = ring.monoid
+        monic = []
+        for g in gens:
+            packed = codec.pack(g._coeffs)
+            inv = inv_mod(packed[max(packed, key=codec.key)], p)
+            monic.append(ring._ring(n, p, {t: c * inv for t, c in packed.items()}))
+        reduced = _complete(monic, codec, codec.limit)
+        if reduced is not None:
+            return GroebnerBasis(tuple(f._ring(n, p, codec.unpack(c)) for c in reduced), order)
+        w *= 2
 
-    def update(h: Polynomial) -> None:
+
+@cache
+def _packed_ring(n: int, kind: str, w: int) -> type:
+    """The Polynomial subclass over terms.packed_monoid(n, kind, w)."""
+    codec = packed_monoid(n, kind, w)
+    return type("PackedPolynomial", (Polynomial,), {"__slots__": (), "monoid": codec})
+
+
+def _complete(gens: list, order, limit=None) -> Optional[list]:
+    """buchberger's pair loop on monic generators, through their monoid and
+    the order's key: the reduced basis as dicts, or None once a lead >= limit."""
+    monoid = gens[0].monoid
+    key, cofactor, mul, lcm = order.key, monoid.cofactor, monoid.mul, monoid.lcm
+    reducer = Reducer((), order)
+    # elements, their leads, the indices still forming pairs, pair -> lcm
+    basis, leads, alive, pending, heap = [], [], [], {}, []
+
+    def update(h: Polynomial) -> bool:
         k, th = len(basis), h.leading_term(order)
+        if limit is not None and th >= limit:
+            return False
         basis.append(h)
         reducer.add(h)
         leads.append(th)
         for (i, j), big in list(pending.items()):
-            if divides(th, big) and big != lcm(leads[i], th) and big != lcm(leads[j], th):
+            if cofactor(th, big) is not None and big != lcm(leads[i], th) and big != lcm(leads[j], th):
                 del pending[i, j]
-        classes: dict[Term, list[int]] = {}
+        classes: dict = {}
         for i in alive:
             classes.setdefault(lcm(leads[i], th), []).append(i)
         for big, members in classes.items():
-            if any(c != big and divides(c, big) for c in classes):
+            if any(c != big and cofactor(c, big) is not None for c in classes):
                 continue
-            if any(big == TermMonoid.mul(leads[i], th) for i in members):
+            if any(big == mul(leads[i], th) for i in members):
                 continue
             pending[members[0], k] = big
             heappush(heap, (key(big), members[0], k))
-        alive[:] = [i for i in alive if not divides(th, leads[i])]
+        alive[:] = [i for i in alive if cofactor(th, leads[i]) is None]
         alive.append(k)
+        return True
 
-    for g in gens:
-        update(g)
+    if not all(map(update, gens)):
+        return None
     while heap:
         _, i, j = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
         r = normal_form(s_polynomial(basis[i], basis[j], order), reducer)
-        if not r.is_zero():
-            update(r.monic(order))
+        if not r.is_zero() and not update(r.monic(order)):
+            return None
 
     # minimal basis; alive leads are distinct: update drops each one h's lead divides
-    least = minimal_terms(leads[i] for i in alive)
     reduced = []
-    for i in sorted((i for i in alive if leads[i] in least), key=lambda i: key(leads[i])):
+    for i in sorted(alive, key=lambda i: key(leads[i])):
         g, t = basis[i], leads[i]
+        if any(j != i and cofactor(leads[j], t) is not None for j in alive):
+            continue
         tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
-        reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer)._coeffs}))
-    return GroebnerBasis(tuple(reduced), order)
+        reduced.append({t: 1, **normal_form(tail, reducer)._coeffs})
+    return reduced
 
 
 def s_pair_remainders(basis: list[Polynomial], order: TermOrder) -> Iterator[tuple]:
@@ -436,22 +473,22 @@ def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
     parts = line.split()
     pairs = [part.partition("=") for part in parts[1:]]
     if parts[:1] != [kind] or [(k, eq) for k, eq, _ in pairs] != [(f, "=") for f in fields]:
-        raise ParseError(f"bad {kind} header: {line!r}")
+        raise ParseError(f"bad {kind} header: {clip(line)!r}")
     values = []
     for name, _, value in pairs:
         if name != "order" and not value.isdecimal():
-            raise ParseError(f"bad {kind} header: {line!r}")
+            raise ParseError(f"bad {kind} header: {clip(line)!r}")
         try:
             if name == "order":
                 values.append(TermOrder(value))
             else:
-                values.append(validate_prime(int(value)) if name == "p" else int(value))
+                values.append(validate_prime(decimal(value)) if name == "p" else decimal(value))
         except ValueError as e:
             raise ParseError(str(e)) from None
         if name == "n" and values[-1] < 1:
-            raise ParseError(f"{kind} header needs at least one variable, got n={value}")
+            raise ParseError(f"{kind} header needs at least one variable, got n={clip(value)}")
         if name == "n" and values[-1] > _MAX_VARIABLES:
-            raise ParseError(f"{kind} header has n={value}, over the limit of {_MAX_VARIABLES}")
+            raise ParseError(f"{kind} header has n={clip(value)}, over the limit of {_MAX_VARIABLES}")
     return tuple(values)
 
 

@@ -25,7 +25,7 @@ from itertools import product, repeat
 from operator import le
 from typing import Callable
 
-from .errors import ParseError, check_size, decimal
+from .errors import ParseError, check_size, clip, decimal
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
 from .terms import Term, minimal_terms, parse_term, term_to_text
 
@@ -243,7 +243,7 @@ def parse_result(text: str) -> StaircaseResult:
     gens = [parse_term(ln, n) for ln in lines[:k]]
     queries = re.fullmatch(r"queries ([0-9]+)", lines[-1])
     if not queries:
-        raise ParseError(f"bad queries line: {lines[-1]!r}")
+        raise ParseError(f"bad queries line: {clip(lines[-1])!r}")
     basis = tuple(parse_polynomial(ln, n, p) for ln in lines[k + 1 : -1])
     return StaircaseResult(
         generators=frozenset(gens),

@@ -12,17 +12,19 @@ The componentwise primitives are C-level ``map`` kernels over ``operator``
 functions. The public ones (divides, lcm) check arity, since ``map``, like
 ``zip``, would silently truncate; scans over one ring's terms (minimal_terms,
 corner splitting, term membership) inline the unchecked all(map(le, a, b)).
+packed_monoid packs terms into ints for Buchberger's graded pair loop.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
-from operator import add, le, neg, sub
+from operator import add, le, lshift, neg, pos, sub
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError, decimal
+from .errors import ParseError, clip, decimal
 
 Term = tuple[int, ...]
 
@@ -91,7 +93,7 @@ class TermOrder:
 
     def __post_init__(self) -> None:
         if self.kind not in ORDER_KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
+            raise ValueError(f"unknown order kind {clip(self.kind)!r}")
 
     @property
     def degree_compatible(self) -> bool:
@@ -135,10 +137,10 @@ def read_monomial(text: str, n: int, factor: re.Pattern, what: str) -> Iterator[
             continue
         m = factor.fullmatch(part)
         if not m:
-            raise ParseError(f"bad {what} factor {part!r}")
+            raise ParseError(f"bad {what} factor {clip(part)!r}")
         i = decimal(m[1])
         if not 1 <= i <= n:
-            raise ParseError(f"variable X{i} out of range 1..{n}")
+            raise ParseError(f"variable X{clip(str(i))} out of range 1..{n}")
         yield i, decimal(m[2]) if m.lastindex == 2 else 1
 
 
@@ -187,3 +189,48 @@ class TermMonoid:
         return tuple(map(add, q, s))
 
     mul = apply
+
+    @staticmethod
+    def lcm(a: Term, b: Term) -> Term:
+        return tuple(map(max, a, b))
+
+
+@cache
+def packed_monoid(n: int, kind: str, w: int) -> type:
+    """n-variable terms packed into ints for the graded order kind, which the
+    class also serves as: the degree in the top field, below it one field per
+    variable (X1 lowest under deglex, highest under degrevlex), each w value
+    bits under a guard bit. While degrees stay below 2^w, a product is +, a
+    failed division sets a guard bit and key sorts as TermOrder.key does."""
+    step, field, top = w + 1, (1 << w) - 1, n * (w + 1)
+    shifts = [k * step for k in range(n)][:: -1 if kind == "degrevlex" else 1]
+    ones = sum(1 << s for s in shifts)
+    guard, low, spread, degree = ones << w, ones * field, ones << step, field << top
+
+    class PackedMonoid:
+        key = pos if kind == "deglex" else low.__xor__
+        mul = apply = add
+        limit = 1 << (top + w - 1)  # the least term of degree 2^(w-1)
+
+        @staticmethod
+        def cofactor(lead: int, t: int) -> Optional[int]:
+            return None if (d := t - lead) & guard else d
+
+        @staticmethod
+        def lcm(a: int, b: int) -> int:
+            # the guard bits of (a | guard) - b mark the fields where a >= b;
+            # v * spread sums the fields of the max into the degree field
+            a, b = a & low, b & low
+            m = ((a | guard) - b) & guard
+            v = b ^ ((a ^ b) & (m - (m >> w)))
+            return v | (v * spread & degree)
+
+        @staticmethod
+        def pack(coeffs: dict) -> dict:
+            return {sum(map(lshift, t, shifts), sum(t) << top): c for t, c in coeffs.items()}
+
+        @staticmethod
+        def unpack(coeffs: dict) -> dict:
+            return {tuple([t >> s & field for s in shifts]): c for t, c in coeffs.items()}
+
+    return PackedMonoid

@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect, insort
+from heapq import heappop, heappush
 from itertools import repeat
 from operator import le
 
@@ -194,3 +195,70 @@ def reference_normal_form(f, basis, order):
             elif u in work:
                 del work[u]
     return type(f)(f.n, p, out)
+
+
+def reference_buchberger(generators, order):
+    """buchberger as the library wrote it before its graded pair loop ran
+    on packed terms, kept as the reference for the element tuples: one loop
+    on exponent tuples under every order, through terms.divides and
+    terms.lcm."""
+    from escalier.errors import ParseError
+    from escalier.polynomials import GroebnerBasis, Reducer, normal_form, s_polynomial
+    from escalier.terms import TermMonoid, divides, lcm
+
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        raise ParseError("cannot complete a basis from zero generators")
+    key, f = order.key, gens[0]
+    for g in gens:
+        f._compatible(g)
+    if all(len(g._coeffs) == 1 for g in gens):
+        least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=key)
+        return GroebnerBasis(tuple(f._ring(f.n, f.p, {t: 1}) for t in least), order)
+    gens = [g.monic(order) for g in gens]
+    reducer = Reducer((), order)
+    basis = []
+    leads = []
+    alive = []
+    pending = {}
+    heap: list = []
+
+    def update(h):
+        k, th = len(basis), h.leading_term(order)
+        basis.append(h)
+        reducer.add(h)
+        leads.append(th)
+        for (i, j), big in list(pending.items()):
+            if divides(th, big) and big != lcm(leads[i], th) and big != lcm(leads[j], th):
+                del pending[i, j]
+        classes = {}
+        for i in alive:
+            classes.setdefault(lcm(leads[i], th), []).append(i)
+        for big, members in classes.items():
+            if any(c != big and divides(c, big) for c in classes):
+                continue
+            if any(big == TermMonoid.mul(leads[i], th) for i in members):
+                continue
+            pending[members[0], k] = big
+            heappush(heap, (key(big), members[0], k))
+        alive[:] = [i for i in alive if not divides(th, leads[i])]
+        alive.append(k)
+
+    for g in gens:
+        update(g)
+    while heap:
+        _, i, j = heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
+        r = normal_form(s_polynomial(basis[i], basis[j], order), reducer)
+        if not r.is_zero():
+            update(r.monic(order))
+
+    # minimal basis; alive leads are distinct: update drops each one h's lead divides
+    least = minimal_terms(leads[i] for i in alive)
+    reduced = []
+    for i in sorted((i for i in alive if leads[i] in least), key=lambda i: key(leads[i])):
+        g, t = basis[i], leads[i]
+        tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
+        reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer)._coeffs}))
+    return GroebnerBasis(tuple(reduced), order)

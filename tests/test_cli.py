@@ -385,6 +385,13 @@ class TestInputValidation:
         assert run(argv + files) == 2
         _one_error_line(capsys)
 
+    def test_encrypt_off_alphabet_message(self, tmp_path, capsys):
+        # refused before any noise is drawn, as a usage error
+        pub = tmp_path / "pub.key"
+        pub.write_text("publickey n=2 p=32003 order=deglex dbound=1 delta=4\ng X1^2 + X2\nt 1\nt X1\n")
+        assert run(["encrypt", "--public", str(pub), "--message", "X1^2*X2^2"]) == 2
+        assert capsys.readouterr().err == "error: message uses terms outside the public alphabet\n"
+
     def test_encrypt_with_generator_free_key(self, tmp_path, capsys):
         pub = tmp_path / "pub.key"
         pub.write_text("publickey n=2 p=32003 order=deglex dbound=1 delta=2\nt 1\nt X1\n")
@@ -657,7 +664,7 @@ class TestInputValidation:
     )
     def test_integers_past_the_digit_limit(self, head, line, tmp_path, capsys):
         # exponent, variable index and coefficient of 5,000 digits; a word
-        # has no exponents, so X1^... is a bad word factor there
+        # has no exponents, so X1^... is a bad word factor there, echoed clipped
         digits = "9" * 5000
         path = tmp_path / "long"
         path.write_text(f"{head}\n{line.format(digits)}\n")
@@ -667,8 +674,43 @@ class TestInputValidation:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        if line != "X1^{}" or head.startswith("ring"):
-            assert digits not in err
+        assert digits not in err
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("ring n=2 p=32003 order=deglex\nX1^{}x\n", "error: bad term factor 'X1^999"),
+            ("ring n={0}{0} p=32003 order=deglex\nX1\n", "error: an integer has more digits"),
+            ("ring n={} p=32003 order=deglex\nX1\n", "error: ring header has n=999"),
+            ("ring n=2 p={} order=deglex\nX1\n", "error: modulus 999"),
+            ("ring n=2 p=32003 order={}\nX1\n", "error: unknown order kind '999"),
+            ("ring n=2 p=32003 order=deglex {}\nX1\n", "error: bad ring header: 'ring n=2"),
+        ],
+        ids=["factor", "past-python", "variables", "modulus", "order", "header"],
+    )
+    def test_refusals_clip_long_input(self, text, want, tmp_path, capsys):
+        # 3,000 digits, under Python's limit on int conversion; 6,000 past it
+        digits = "9" * 3000
+        path = tmp_path / "long.ideal"
+        path.write_text(text.format(digits))
+        assert run(["recon", "--ideal", str(path), "--bound", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(want) and err.count("\n") == 1 and len(err) < 150
+
+    @pytest.mark.parametrize("digits", [4000, 5000], ids=["under-python", "past-python"])
+    def test_long_flag_value_is_clipped(self, digits, ex51, capsys):
+        # 4,000 digits reach the least-value check; 5,000 fail argparse's int()
+        assert run(["recon", "--ideal", str(ex51), "--bound", "-" + "9" * digits]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 250
+
+    def test_long_public_key_line_is_clipped(self, tmp_path, capsys):
+        pub = tmp_path / "pub.key"
+        junk = "x" * 3000
+        pub.write_text(f"publickey n=2 p=32003 order=deglex dbound=1 delta=4\ng X1^2 + X2\n{junk}\n")
+        assert run(["encrypt", "--public", str(pub), "--message", "X1 + 2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad public key line: '{junk[:60]}...'\n"
 
     def test_runtime_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(oracle, publics, trace=None):

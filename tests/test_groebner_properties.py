@@ -5,20 +5,24 @@ properties check on drawn generator sets that nothing needed was dropped
 and that the result is the one reduced basis of the ideal.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escalier import polynomials
 from escalier.field import inv_mod
 from escalier.polynomials import (
     Polynomial,
     Reducer,
     buchberger,
     normal_form,
+    parse_polynomial,
     s_polynomial,
 )
 from escalier.terms import TermOrder, divides, lcm
 
-from helpers import is_groebner
+from helpers import is_groebner, reference_buchberger
 
 ORDERS = st.sampled_from([TermOrder(kind) for kind in ("lex", "deglex", "degrevlex")])
 PRIMES = st.sampled_from([7, 32003])
@@ -85,3 +89,55 @@ def test_s_polynomial_is_the_difference_of_two_shifted_copies(case, order):
             got = s_polynomial(f, g, order)
             assert got == want and d not in got.support()
             assert all(0 < c < p for _, c in got.items())
+
+
+def _random_ideal(rng):
+    """1-3 polynomials of 1-4 terms and degree at most 3 in 1-5 variables."""
+    n, p = rng.randint(1, 5), rng.choice([2, 3, 7, 32003])
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            t = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                t[rng.randrange(n)] += 1
+            coeffs[tuple(t)] = rng.randrange(1, p)
+        gens.append(Polynomial(n, p, coeffs))
+    return gens
+
+
+def _elements(gb):
+    """The element tuple down to term order inside each element."""
+    return [list(g.items()) for g in gb.elements]
+
+
+def test_buchberger_matches_the_tuple_loop():
+    # the graded loop runs on packed terms, lex on tuples: both must give
+    # the reference loop's elements, their terms and coefficients, in order
+    rng = random.Random(20)
+    for _ in range(1500):
+        gens = _random_ideal(rng)
+        order = TermOrder(rng.choice(["lex", "deglex", "degrevlex"]))
+        assert _elements(buchberger(gens, order)) == _elements(reference_buchberger(gens, order))
+
+
+def test_a_lead_past_the_width_restarts_wider(monkeypatch):
+    # degree-3 generators give 4-bit fields, so leads stay below degree 8;
+    # this basis has an element of degree 9, found by a seeded search
+    n, p, order = 3, 32003, TermOrder("degrevlex")
+    gens = [
+        parse_polynomial(text, n, p)
+        for text in ("5265*X2*X3^2 + 10930*X1*X2*X3 + 4556*X1^3", "21573*X2^3 + 30740")
+    ]
+    widths = []
+    packed_ring = polynomials._packed_ring
+
+    def recording(n, kind, w):
+        widths.append(w)
+        return packed_ring(n, kind, w)
+
+    monkeypatch.setattr(polynomials, "_packed_ring", recording)
+    gb = buchberger(gens, order)
+    assert widths == [4, 8]
+    assert max(g.degree() for g in gb.elements) == 9
+    assert _elements(gb) == _elements(reference_buchberger(gens, order))

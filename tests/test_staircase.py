@@ -378,6 +378,16 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_result(f"{head}\n{queries}\n")
 
+    def test_bad_queries_line_echo_is_clipped(self):
+        text = render_result(reconstruct(monomial_oracle(EX52, 2), 2, 4))
+        head, _, _ = text.rstrip("\n").rpartition("\n")
+        with pytest.raises(ParseError, match="^bad queries line: 'queries x'$"):
+            parse_result(f"{head}\nqueries x\n")
+        line = "queries " + "x" * 3000
+        with pytest.raises(ParseError) as refused:
+            parse_result(f"{head}\n{line}\n")
+        assert str(refused.value) == f"bad queries line: '{line[:60]}...'"
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_basis_of_another_size_refused(self, extra):
         # the header's k counts the generators and the basis elements alike

@@ -2,6 +2,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escalier.errors import ParseError
 from escalier.terms import (
@@ -10,6 +12,7 @@ from escalier.terms import (
     divides,
     lcm,
     minimal_terms,
+    packed_monoid,
     parse_term,
     term_to_text,
     terms_of_degree,
@@ -249,6 +252,7 @@ class TestKernels:
             divisible = all(x <= y for x, y in pairs)
             assert divides(a, b) == divisible
             assert lcm(a, b) == tuple(max(x, y) for x, y in pairs)
+            assert TermMonoid.lcm(a, b) == lcm(a, b)
             assert TermMonoid.mul(a, b) == tuple(x + y for x, y in pairs)
             quotient = tuple(y - x for x, y in pairs)
             assert TermMonoid.cofactor(a, b) == (quotient if divisible else None)
@@ -261,3 +265,51 @@ class TestKernels:
                     "degrevlex": (sum(a), tuple(-e for e in a)),
                 }[order.kind]
                 assert order.key(a) == want
+
+
+@st.composite
+def packed_cases(draw):
+    """(order kind, width, a, b): two terms in 1-6 variables and the field
+    width buchberger would pick for them, sized from the larger degree."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["deglex", "degrevlex"]))
+    exps = st.integers(min_value=0, max_value=draw(st.sampled_from([1, 3, 40])))
+    a, b = (tuple(draw(st.lists(exps, min_size=n, max_size=n))) for _ in "ab")
+    w = max(sum(a), sum(b)).bit_length() + 2
+    return kind, w, a, b
+
+
+def _packed(codec, t):
+    (x,) = codec.pack({t: 1})
+    return x
+
+
+class TestPackedMonoid:
+    """The packed codec against the tuple monoid it stands for."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=packed_cases())
+    def test_kernels_match_the_tuple_monoid(self, case):
+        kind, w, a, b = case
+        codec = packed_monoid(len(a), kind, w)
+        pa, pb = _packed(codec, a), _packed(codec, b)
+        assert codec.unpack({pa: 5}) == {a: 5}
+        assert pa + pb == codec.mul(pa, pb) == _packed(codec, TermMonoid.mul(a, b))
+        q = TermMonoid.cofactor(a, b)
+        assert codec.cofactor(pa, pb) == (None if q is None else _packed(codec, q))
+        assert codec.lcm(pa, pb) == _packed(codec, TermMonoid.lcm(a, b))
+        ka, kb = codec.key(pa), codec.key(pb)
+        assert (ka > kb) - (ka < kb) == compare(TermOrder(kind), a, b)
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_limit_is_the_least_term_of_degree_half_the_field(self, kind):
+        for n in (1, 2, 4):
+            for w in (2, 3, 5):
+                codec, edge = packed_monoid(n, kind, w), 1 << (w - 1)
+                assert all(_packed(codec, t) < codec.limit for t in terms_of_degree(n, edge - 1))
+                assert all(_packed(codec, t) >= codec.limit for t in terms_of_degree(n, edge))
+
+    def test_one_codec_per_ring_and_width(self):
+        assert packed_monoid(3, "deglex", 4) is packed_monoid(3, "deglex", 4)
+        assert packed_monoid(3, "deglex", 4) is not packed_monoid(3, "degrevlex", 4)
+        assert packed_monoid(3, "deglex", 4) is not packed_monoid(3, "deglex", 8)
