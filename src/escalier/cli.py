@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import crypto, forge
-from .errors import ParseError, clip
+from .errors import ParseError, check_size, clip
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -153,6 +153,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_nc_probe(args) -> int:
+    check_size(args.trials, "the probe", "trials")  # before the oracle is built
     oracle, publics = _free_oracle(args.private, args.public)
     rng = random.Random(args.seed)
     report = crypto.nc_attack_probe(oracle, publics, args.trials, rng)

@@ -12,10 +12,9 @@ basis falls to the staircase reconstruction once a degree bound is known.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MAX_TERMS, ParseError, check_size, clip
 from .nc_polynomials import NcPolynomial
@@ -65,8 +64,7 @@ def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int
     check_size(size, "the key noise")
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     n: int
     p: int
     order: TermOrder
@@ -76,8 +74,7 @@ class PublicKey:
     degree_cap: int
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     basis: GroebnerBasis
     public: PublicKey
 
@@ -86,14 +83,19 @@ class KeyPair:
         return CanOracle.commutative(self.basis)
 
 
-@dataclass(frozen=True)
 class Ciphertext:
-    poly: Polynomial
-    degree_cap: int
+    """A ciphertext and the degree cap it declares, which it never exceeds."""
 
-    def __post_init__(self):
-        if self.poly.degree() > self.degree_cap:
+    __slots__ = ("poly", "degree_cap")
+
+    def __init__(self, poly: Polynomial, degree_cap: int):
+        if poly.degree() > degree_cap:
             raise ParseError("ciphertext exceeds its declared degree cap")
+        self.poly, self.degree_cap = poly, degree_cap
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Ciphertext and (self.poly, self.degree_cap) == (
+            other.poly, other.degree_cap)
 
 
 def keygen(
@@ -153,13 +155,8 @@ def keygen(
         max(g.degree() for g in publics) + noise_degree,
     )
     public = PublicKey(
-        n=n,
-        p=p,
-        order=order,
-        generators=tuple(publics),
-        normal_terms=tuple(normal),
-        noise_degree=noise_degree,
-        degree_cap=cap,
+        n=n, p=p, order=order, generators=tuple(publics), normal_terms=tuple(normal),
+        noise_degree=noise_degree, degree_cap=cap,
     )
     return KeyPair(basis=basis, public=public)
 
@@ -195,15 +192,19 @@ def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polyno
     return fake - can
 
 
-@dataclass(frozen=True)
 class AttackResult:
-    staircase: StaircaseResult
-    basis: tuple[Polynomial, ...]
-    order: TermOrder
-    _reducer: Reducer = field(init=False, repr=False, compare=False)
+    """The reconstruction, its basis and the key's order; results compare
+    on these three, not on the decryptor's reducer, prepared once."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_reducer", Reducer(self.basis, self.order))
+    __slots__ = ("staircase", "basis", "order", "_reducer")
+
+    def __init__(self, staircase: StaircaseResult, basis: tuple[Polynomial, ...], order: TermOrder):
+        self.staircase, self.basis, self.order = staircase, basis, order
+        self._reducer = Reducer(basis, order)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AttackResult and (self.staircase, self.basis, self.order) == (
+            other.staircase, other.basis, other.order)
 
     def decrypt(self, poly: Polynomial) -> Polynomial:
         """Reduction by the recovered basis under the key's order,
@@ -227,8 +228,7 @@ def attack_commutative(
     return AttackResult(staircase=res, basis=res.reduced_basis, order=pk.order)
 
 
-@dataclass(frozen=True)
-class NcProbeReport:
+class NcProbeReport(NamedTuple):
     trials: int
     successes: int
     failures: int
@@ -246,8 +246,10 @@ def nc_attack_probe(
 
     For each trial a message over oracle fixed points is hidden under
     noise sum(p_j * g_j * q_j) and reduced by the covering basis; the
-    tally records agreement without asserting either outcome.
+    tally records agreement without asserting either outcome. More than
+    10^6 trials, about 30 s of work, are refused before any query.
     """
+    check_size(trials, "the probe", "trials")
     n, p = oracle.n, oracle.p
     basis = covering_basis(oracle, public_gens)
     reducer = Reducer(basis, NcPolynomial.monoid.default_order)
@@ -270,10 +272,7 @@ def nc_attack_probe(
         if normal_form(c, reducer) == msg:
             successes += 1
     return NcProbeReport(
-        trials=trials,
-        successes=successes,
-        failures=trials - successes,
-        basis_size=len(basis),
+        trials=trials, successes=successes, failures=trials - successes, basis_size=len(basis)
     )
 
 
@@ -307,13 +306,8 @@ def parse_public_key(text: str) -> PublicKey:
     if not gens:
         raise ParseError("public key has no generators")
     return PublicKey(
-        n=n,
-        p=p,
-        order=order,
-        generators=tuple(gens),
-        normal_terms=tuple(terms),
-        noise_degree=dbound,
-        degree_cap=delta,
+        n=n, p=p, order=order, generators=tuple(gens), normal_terms=tuple(terms),
+        noise_degree=dbound, degree_cap=delta,
     )
 
 

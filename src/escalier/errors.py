@@ -4,7 +4,8 @@ class ParseError(ValueError):
     request cannot use. The CLI exits 2 on it."""
 
 
-# the most terms one request may make the library list, query or draw
+# the most terms one request may make the library list, query or draw,
+# and the most trials one probe may run
 MAX_TERMS = 10**6
 
 
@@ -13,11 +14,11 @@ def clip(text: str, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def check_size(size: int, what: str) -> None:
-    """Refuse more than MAX_TERMS terms; the message never formats size,
+def check_size(size: int, what: str, unit: str = "terms") -> None:
+    """Refuse more than MAX_TERMS of unit; the message never formats size,
     which can have more digits than Python will print."""
     if size > MAX_TERMS:
-        raise ParseError(f"{what} exceeds the limit of 10^6 terms")
+        raise ParseError(f"{what} exceeds the limit of 10^6 {unit}")
 
 
 def decimal(digits: str) -> int:

@@ -22,8 +22,7 @@ every lead of the extended reduced basis (ibid., 2.5-2.7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ParseError, check_size
 from .oracle import CanOracle
@@ -32,8 +31,7 @@ from .staircase import reconstruct
 from .terms import Term, TermOrder, term_to_text, variable
 
 
-@dataclass(frozen=True)
-class ForgedPair:
+class ForgedPair(NamedTuple):
     """The two oracles' ideals and the data used to build them."""
 
     base: GroebnerBasis                     # reduced basis of J
@@ -114,8 +112,7 @@ def build_counterexample(
     )
 
 
-@dataclass(frozen=True)
-class BoundDemo:
+class BoundDemo(NamedTuple):
     """Reconstruction of the extended ideal at two bounds: the small one
     reproduces the shifted ideal's staircase, the large one the real
     staircase, and the two disagree."""

@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import le
 from typing import Iterable, Optional, Union
 
-from .errors import ParseError
+from .errors import ParseError, clip
 from .field import validate_prime
 from .nc_polynomials import NcPolynomial, overlap_check
 from .polynomials import GroebnerBasis, Polynomial, Reducer, buchberger, normal_form
@@ -196,4 +196,4 @@ def serve_line(oracle: CanOracle, line: str) -> str:
             return oracle.can_term(oracle.monoid.parse(parts[1], oracle.n)).to_text()
         except (ParseError, ValueError) as e:
             return f"ERR {e}"
-    return f"ERR unknown request {line.strip()!r}"
+    return f"ERR unknown request {clip(line.strip())!r}"

@@ -15,10 +15,9 @@ line ``ring n=<n> p=<p> order=<kind>`` followed by one polynomial per line;
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ParseError, clip, decimal
 from .field import inv_mod, validate_prime
@@ -123,7 +122,7 @@ class Polynomial:
 
     def leading_term(self, order):
         lead = self._lead
-        if lead is None or lead[0] != order:
+        if lead is None or lead[0] is not order:
             if not self._coeffs:
                 raise ValueError("zero polynomial has no leading term")
             lead = self._lead = (order, max(self._coeffs, key=order.key))
@@ -192,8 +191,7 @@ def parse_polynomial(text: str, n: int, p: int, cls: type = Polynomial) -> Polyn
     return cls(n, p, coeffs)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """The reduced Groebner basis that buchberger returns, with its order:
     monic, minimal and with every tail term outside the leading-term
     ideal."""

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product, repeat
 from operator import le
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, check_size, clip, decimal
 from .polynomials import Polynomial, content_lines, header, parse_polynomial
@@ -37,8 +36,7 @@ def check_box(n: int, bound: int) -> None:
     check_size((bound + 1) ** min(n, 20), "the box [0, bound]^n")
 
 
-@dataclass(frozen=True)
-class StaircaseResult:
+class StaircaseResult(NamedTuple):
     generators: frozenset[Term]
     reduced_basis: tuple[Polynomial, ...]
     queries_used: int
@@ -201,12 +199,8 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
         for t in ordered
     )
     return StaircaseResult(
-        generators=frozenset(gens),
-        reduced_basis=basis,
-        queries_used=oracle.queries - start,
-        bound=bound,
-        nvars=n,
-        modulus=oracle.p,
+        generators=frozenset(gens), reduced_basis=basis, queries_used=oracle.queries - start,
+        bound=bound, nvars=n, modulus=oracle.p,
     )
 
 
@@ -246,10 +240,6 @@ def parse_result(text: str) -> StaircaseResult:
         raise ParseError(f"bad queries line: {clip(lines[-1])!r}")
     basis = tuple(parse_polynomial(ln, n, p) for ln in lines[k + 1 : -1])
     return StaircaseResult(
-        generators=frozenset(gens),
-        reduced_basis=basis,
-        queries_used=decimal(queries[1]),
-        bound=bound,
-        nvars=n,
-        modulus=p,
+        generators=frozenset(gens), reduced_basis=basis, queries_used=decimal(queries[1]),
+        bound=bound, nvars=n, modulus=p,
     )

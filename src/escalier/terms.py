@@ -18,7 +18,6 @@ packed_monoid packs terms into ints for Buchberger's graded pair loop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import add, le, lshift, neg, pos, sub
@@ -80,20 +79,27 @@ def minimal_terms(terms: Iterable[Term]) -> set[Term]:
     return set(kept)
 
 
-@dataclass(frozen=True)
 class TermOrder:
     """A total noetherian semigroup order on terms of equal arity.
 
     kind is one of lex, deglex, degrevlex; the variables are ordered
     X1 < X2 < ... < Xn under every kind. Orders compare via sort keys, so
-    leading-term extraction is a plain max().
+    leading-term extraction is a plain max(). Each kind has one immutable
+    instance, which TermOrder(kind), copies and unpickling all return.
     """
 
-    kind: str = "deglex"
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ORDER_KINDS:
-            raise ValueError(f"unknown order kind {clip(self.kind)!r}")
+    def __new__(cls, kind: str = "deglex") -> TermOrder:
+        if kind not in ORDER_KINDS:  # a tuple scan, so unhashable kinds land here
+            raise ValueError(f"unknown order kind {clip(str(kind))!r}")
+        return _ORDERS[kind]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("a TermOrder is shared by every caller and cannot change")
+
+    def __reduce__(self):
+        return TermOrder, (self.kind,)
 
     @property
     def degree_compatible(self) -> bool:
@@ -108,6 +114,11 @@ class TermOrder:
         # degrevlex: graded; ties go to the term with the larger exponent
         # at the earliest small variable.
         return (sum(t), tuple(map(neg, t)))
+
+
+_ORDERS = {kind: object.__new__(TermOrder) for kind in ORDER_KINDS}
+for _kind, _order in _ORDERS.items():
+    object.__setattr__(_order, "kind", _kind)
 
 
 _FACTOR = re.compile(r"X(\d+)(?:\^(\d+))?")

@@ -11,7 +11,6 @@ the operations a free algebra over words needs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
@@ -32,12 +31,17 @@ def is_factor(pattern: Word, w: Word) -> bool:
     return WordMonoid.cofactor(tuple(pattern), tuple(w)) is not None
 
 
-@dataclass(frozen=True)
 class WordOrder:
     """Length first, then leftmost-letter comparison with X1 < X2 < ... < Xn.
 
-    Total, noetherian and compatible with two-sided multiplication.
+    Total, noetherian and compatible with two-sided multiplication. It has
+    no settings, so WordOrder() returns its one instance.
     """
+
+    __slots__ = ()
+
+    def __new__(cls) -> WordOrder:
+        return WordMonoid.default_order
 
     def key(self, w: Word):
         return (len(w), w)
@@ -64,7 +68,7 @@ class WordMonoid:
     tail word by wrapping it.
     """
 
-    default_order = WordOrder()
+    default_order = object.__new__(WordOrder)  # the instance WordOrder() returns
     degree = staticmethod(len)
     render = staticmethod(word_to_text)
     parse = staticmethod(parse_word)

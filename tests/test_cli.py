@@ -367,12 +367,15 @@ class TestInputValidation:
             ["keygen", "--noise-degree", "-1"],
             ["keygen", "--message-terms", "-2"],
             ["nc-probe", "--trials", "-1"],
+            ["nc-probe", "--trials", "1000001"],
+            ["nc-probe", "--trials", "1000000000"],
         ],
     )
     def test_bad_counts(self, argv, tmp_path, capsys, monkeypatch):
-        # refused before any work: a key or probe run would fail here
+        # refused before any work: a key, oracle or probe run would fail here
         monkeypatch.setattr("escalier.crypto.keygen", None)
         monkeypatch.setattr("escalier.crypto.nc_attack_probe", None)
+        monkeypatch.setattr("escalier.cli.CanOracle", None)
         ring, priv, pub = (tmp_path / name for name in ("key.ideal", "nc.free", "pub.free"))
         ring.write_text(KEYRING)
         priv.write_text(NC_PRIVATE)

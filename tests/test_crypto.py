@@ -3,7 +3,9 @@ import random
 import pytest
 
 from escalier.crypto import (
+    AttackResult,
     Ciphertext,
+    KeyPair,
     attack_commutative,
     decrypt,
     encrypt,
@@ -20,7 +22,7 @@ from escalier.errors import ParseError
 from escalier.forge import build_counterexample
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
-from escalier.polynomials import Polynomial, Reducer, normal_form
+from escalier.polynomials import GroebnerBasis, Polynomial, Reducer, normal_form
 from escalier.terms import terms_of_degree
 
 from helpers import DEGLEX, DEGREVLEX, LEX, P, ncpoly, poly
@@ -42,6 +44,14 @@ class TestKeygen:
         keys = toy_keys()
         assert set(keys.public.normal_terms) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert keys.public.degree_cap >= 2
+
+    def test_records_keep_their_methods(self):
+        keys = toy_keys()
+        assert type(keys) is KeyPair and type(keys.basis) is GroebnerBasis
+        assert keys.basis.leading_terms() == ((2, 0), (0, 2))
+        oracle = keys.oracle()
+        assert oracle is not keys.oracle() and oracle.queries == 0
+        assert oracle.can_term((2, 0)) == poly("-X2", p=7)
 
     def test_public_elements_in_ideal(self):
         keys = toy_keys()
@@ -162,7 +172,7 @@ class TestEncryptDecrypt:
             rng = random.Random(200 + i)
             c = encrypt(keys.public, random_message(keys.public, rng), rng)
             assert c.poly.degree() <= keys.public.degree_cap
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Ciphertext(poly=poly("X1^9", p=7), degree_cap=3)
 
     def test_unsupported_message_term(self):
@@ -259,6 +269,17 @@ class TestAttack:
             assert att._reducer is reducer
             assert att == attack_commutative(keys.oracle(), keys.public, bound=bound)
 
+    def test_results_compare_on_all_but_the_reducer(self):
+        pair = build_counterexample([poly("X1^2 + X2")], DEGLEX, 3)
+        keys = keygen(pair.extended_basis.elements, DEGLEX, 2, 1, 4, random.Random(7))
+        att = attack_commutative(keys.oracle(), keys.public)
+        same = AttackResult(att.staircase, att.basis, att.order)
+        assert same == att and same._reducer is not att._reducer
+        low = attack_commutative(keys.oracle(), keys.public, bound=pair.agree_degree)
+        assert low != att
+        assert AttackResult(att.staircase, att.basis, DEGREVLEX) != att
+        assert att != (att.staircase, att.basis, att.order)
+
     def test_decryptor_reduces_under_the_key_order(self):
         # degrevlex leads X2^2 + X1*X3 with X2^2, deglex would with X1*X3
         gens = [poly("X2^2 + X1*X3", n=3), poly("X3^3 + 1", n=3)]
@@ -292,12 +313,20 @@ class TestNcProbe:
         assert report.successes + report.failures == 10
         assert report.basis_size >= 1
 
+    def test_too_many_trials_refused_before_any_query(self):
+        oracle = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])
+        publics = [ncpoly("X1*X2 - 1").sandwich((2,), ())]
+        with pytest.raises(ParseError, match="the probe exceeds the limit of 10\\^6 trials"):
+            nc_attack_probe(oracle, publics, 10**6 + 1, random.Random(11))
+        assert oracle.queries == 0
+
 
 class TestKeyFiles:
     def test_public_key_roundtrip(self):
         keys = toy_keys()
         back = parse_public_key(render_public_key(keys.public))
-        assert back == keys.public
+        # a record is a named tuple, which also equals a plain tuple
+        assert type(back) is type(keys.public) and back == keys.public
 
     def test_ciphertext_roundtrip(self):
         keys = toy_keys()
@@ -305,6 +334,8 @@ class TestKeyFiles:
         c = encrypt(keys.public, random_message(keys.public, rng), rng)
         back = parse_ciphertext(render_ciphertext(c, 2, 7))
         assert back == c
+        assert back != (c.poly, c.degree_cap)
+        assert back != Ciphertext(c.poly, c.degree_cap + 1)
 
     def test_public_key_without_generators(self):
         with pytest.raises(ParseError):

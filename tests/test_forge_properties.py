@@ -111,4 +111,5 @@ def test_demo_equals_two_separate_oracles(seed):
         queries_small=res_small.queries_used,
         queries_big=res_big.queries_used,
     )
-    assert demonstrate_bound_necessity(pair) == expected
+    got = demonstrate_bound_necessity(pair)
+    assert type(got) is BoundDemo and got == expected

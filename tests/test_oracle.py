@@ -244,6 +244,11 @@ class TestProtocol:
         assert serve_line(o, "NOPE").startswith("ERR")
         assert serve_line(o, "CAN Y2").startswith("ERR")
 
+    def test_unknown_request_is_clipped(self):
+        # echoed through errors.clip: 60 characters and "...", not 5,000
+        reply = serve_line(toy_oracle(), "FOO " + "x" * 5000)
+        assert reply == "ERR unknown request '" + "FOO " + "x" * 56 + "...'"
+
     def test_nc_protocol(self):
         o = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])
         assert serve_line(o, "CAN X1*X2") == "1"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations_with_replacement
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from escalier.errors import ParseError
 from escalier.terms import (
+    ORDER_KINDS,
     TermMonoid,
     TermOrder,
     divides,
@@ -115,6 +118,38 @@ class TestCompare:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             TermOrder("grlex")
+
+    def test_one_instance_per_kind(self):
+        for kind in ORDER_KINDS:
+            assert TermOrder(kind) is TermOrder(kind)
+            assert TermOrder(kind).kind == kind
+        assert TermOrder() is TermOrder("deglex")
+        # one instance serves every caller, so none may change it
+        with pytest.raises(AttributeError):
+            TermOrder("lex").kind = "deglex"
+        assert TermOrder("lex").kind == "lex"
+
+    @pytest.mark.parametrize(
+        "kind, shown",
+        [
+            ("grlex", "'grlex'"),
+            ("x" * 500, "'" + "x" * 60 + "...'"),
+            # an unhashable kind is refused by the same check, not a TypeError
+            (["deglex"], "\"['deglex']\""),
+        ],
+    )
+    def test_unknown_kinds_get_the_clipped_message(self, kind, shown):
+        with pytest.raises(ValueError) as refused:
+            TermOrder(kind)
+        assert str(refused.value) == f"unknown order kind {shown}"
+
+    def test_copies_and_pickles_are_the_interned_instance(self):
+        for kind in ORDER_KINDS:
+            order = TermOrder(kind)
+            assert copy.copy(order) is order
+            assert copy.deepcopy(order) is order
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(order, protocol)) is order
 
 
 class TestDivisibility:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -75,6 +77,11 @@ class TestOfDegree:
 
 
 class TestOrder:
+    def test_one_instance(self):
+        assert WordOrder() is ORDER is WordMonoid.default_order
+        assert copy.copy(ORDER) is ORDER and copy.deepcopy(ORDER) is ORDER
+        assert pickle.loads(pickle.dumps(ORDER)) is ORDER
+
     def test_total_and_noetherian(self):
         rng = random.Random(2)
         for _ in range(200):
