@@ -39,6 +39,6 @@ from .staircase import (
     render_result,
 )
 from .terms import TermMonoid, TermOrder, divides, lcm
-from .words import WordMonoid, WordOrder, subword_occurrences
+from .words import WordMonoid, WordOrder
 
 __version__ = "0.1.0"

@@ -55,12 +55,12 @@ def random_polynomial(
     return cls._ring(n, p, coeffs)
 
 
-def check_key_size(n: int, noise_degree: int, basis_size: int, count_public: int) -> None:
-    """Refuse a key whose noise would hold more than 10^6 terms: each
-    public polynomial draws one random polynomial of degree noise_degree,
-    C(n + d, n) terms, per basis element. C(n + d, n) >= n + d, so
-    capping d at 10^6 keeps the verdict and the binomial small."""
-    size = comb(n + min(noise_degree, MAX_TERMS), n) * basis_size * count_public
+def check_key_size(n: int, noise_degree: int, draws: int) -> None:
+    """Refuse noise of more than 10^6 terms: draws random polynomials of
+    degree d = noise_degree, C(n + d, n) terms each; keygen draws one per
+    basis element per public polynomial, encrypt one per public polynomial.
+    C(n + d, n) >= n + d, so d capped at 10^6 gives the same verdict cheaply."""
+    size = comb(n + min(noise_degree, MAX_TERMS), n) * draws
     check_size(size, "the key noise")
 
 
@@ -123,7 +123,7 @@ def keygen(
         raise ParseError("key generation needs a degree-compatible order")
     basis = buchberger(generators, order)
     n, p = basis.elements[0].n, basis.elements[0].p
-    check_key_size(n, noise_degree, len(basis.elements), count_public)
+    check_key_size(n, noise_degree, len(basis.elements) * count_public)
     leads = basis.leading_terms()
     if any(sum(t) == 0 for t in leads):
         raise ParseError("the ideal is the whole ring; nothing can be hidden")
@@ -144,7 +144,7 @@ def keygen(
 
     publics = []
     while len(publics) < count_public:
-        g = Polynomial.zero(n, p)
+        g = Polynomial(n, p)
         for gamma in basis.elements:
             g = g + random_polynomial(n, p, noise_degree, rng) * gamma
         if not g.is_zero():
@@ -166,6 +166,7 @@ def encrypt(pk: PublicKey, message: Polynomial, rng: random.Random) -> Ciphertex
     allowed = set(pk.normal_terms)
     if not message.support() <= allowed:
         raise ParseError("message uses terms outside the public alphabet")
+    check_key_size(pk.n, pk.noise_degree, len(pk.generators))
     c = message
     for g in pk.generators:
         c = c + random_polynomial(pk.n, pk.p, pk.noise_degree, rng) * g

@@ -22,8 +22,11 @@ def check_size(size: int, what: str, unit: str = "terms") -> None:
 
 
 def decimal(digits: str) -> int:
-    """The int a run of decimal digits spells; a run past Python's limit
-    on digits is refused, and the message does not echo it."""
+    """The int a run of decimal digits spells. The one digit rule: only
+    ASCII 0-9, so a digit of another script is refused, and so is a run
+    past Python's limit on digits, without echoing it."""
+    if not digits.isascii():
+        raise ParseError(f"digits must be ASCII 0-9, got {clip(digits)!r}")
     try:
         return int(digits)
     except ValueError:

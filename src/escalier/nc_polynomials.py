@@ -19,7 +19,7 @@ from .polynomials import (
     normal_form,
     parse_polynomial,
 )
-from .words import Word, WordMonoid, subword_occurrences
+from .words import Word, WordMonoid
 
 
 class NcPolynomial(Polynomial):
@@ -62,10 +62,11 @@ def overlap_check(reducer: Reducer) -> bool:
                 for k in range(1, min(len(wi), len(wj))):
                     if wi[len(wi) - k :] == wj[:k]:
                         yield gi.sandwich((), wj[k:]) - gj.sandwich(wi[: len(wi) - k], ())
-                # inclusions: wi occurs inside wj
+                # inclusions: wi occurs inside wj, at every position
                 if gi is not gj:
-                    for left, right in subword_occurrences(wi, wj):
-                        yield gj - gi.sandwich(left, right)
+                    for i in range(len(wj) - len(wi) + 1):
+                        if wj[i : i + len(wi)] == wi:
+                            yield gj - gi.sandwich(wj[:i], wj[i + len(wi) :])
 
     return all(normal_form(s, reducer).is_zero() for s in ambiguities())
 

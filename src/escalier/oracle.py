@@ -173,7 +173,7 @@ class CanOracle:
         masked answers are summed, and the result equals can_term(t).
         """
         term = self._term_poly(self.__monoid.validate(t, self.__n))
-        zero = self.__algebra._ring(self.__n, self.__p, {})
+        zero = self.__algebra(self.__n, self.__p)
         pieces = [left * term * right for left, right in decomposition]
         if sum(pieces, zero) != term:
             raise ValueError("decomposition does not sum back to the term")

@@ -62,10 +62,6 @@ class Polynomial:
         return self
 
     @classmethod
-    def zero(cls, n: int, p: int) -> "Polynomial":
-        return cls(n, p)
-
-    @classmethod
     def term(cls, t: Term, p: int) -> "Polynomial":
         return cls(len(t), p, {tuple(t): 1})
 
@@ -343,7 +339,9 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     Graded orders run the loop on terms.packed_monoid with w = bit_length
     (largest generator degree) + 2: reduction never raises a degree, so
     all terms fit while leads stay below degree 2^(w-1); a lead past that
-    restarts with 2w. Lex reduction can raise degrees: lex runs on tuples.
+    restarts with 2w. Lex reduction can raise degrees: lex runs on tuples,
+    and so do rings wider than _PACKED_MAX_VARIABLES, where packing a term,
+    one shift per variable, costs O(n^2) bits.
 
     The generators must share one ring. Monomial generators form no
     pairs: the reduced basis of a monomial ideal is its minimal
@@ -358,7 +356,7 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     if all(len(g._coeffs) == 1 for g in gens):
         least = sorted(minimal_terms(t for g in gens for t in g._coeffs), key=order.key)
         return GroebnerBasis(tuple(f._ring(f.n, f.p, {t: 1}) for t in least), order)
-    if not order.degree_compatible:
+    if not order.degree_compatible or f.n > _PACKED_MAX_VARIABLES:
         reduced = _complete([g.monic(order) for g in gens], order)
         return GroebnerBasis(tuple(f._ring(f.n, f.p, c) for c in reduced), order)
     n, p = f.n, f.p
@@ -366,15 +364,15 @@ def buchberger(generators: Iterable[Polynomial], order: TermOrder) -> GroebnerBa
     while True:
         ring = _packed_ring(n, order.kind, w)
         codec = ring.monoid
-        monic = []
-        for g in gens:
-            packed = codec.pack(g._coeffs)
-            inv = inv_mod(packed[max(packed, key=codec.key)], p)
-            monic.append(ring._ring(n, p, {t: c * inv for t, c in packed.items()}))
+        monic = [ring._ring(n, p, codec.pack(g._coeffs)).monic(codec) for g in gens]
         reduced = _complete(monic, codec, codec.limit)
         if reduced is not None:
             return GroebnerBasis(tuple(f._ring(n, p, codec.unpack(c)) for c in reduced), order)
         w *= 2
+
+
+# the widest ring that completes packed; past it, packing costs more than it saves
+_PACKED_MAX_VARIABLES = 3_000
 
 
 @cache
@@ -417,8 +415,9 @@ def _complete(gens: list, order, limit=None) -> Optional[list]:
         alive.append(k)
         return True
 
-    if not all(map(update, gens)):
-        return None
+    # w = bit_length(largest degree) + 2 puts every input lead below limit
+    for g in gens:
+        update(g)
     while heap:
         _, i, j = heappop(heap)
         if pending.pop((i, j), None) is None:

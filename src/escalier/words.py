@@ -19,14 +19,6 @@ from .terms import read_monomial
 Word = tuple[int, ...]
 
 
-def subword_occurrences(pattern: Word, w: Word) -> list[tuple[Word, Word]]:
-    """All (prefix, suffix) pairs with w = prefix + pattern + suffix, left to right."""
-    pattern = tuple(pattern)
-    w = tuple(w)
-    k = len(pattern)
-    return [(w[:i], w[i + k :]) for i in range(len(w) - k + 1) if w[i : i + k] == pattern]
-
-
 def is_factor(pattern: Word, w: Word) -> bool:
     return WordMonoid.cofactor(tuple(pattern), tuple(w)) is not None
 

@@ -209,7 +209,7 @@ def test_criterion_8_covering_basis_contract():
         oracle = CanOracle.noncommutative(basis)
         publics = []
         while len(publics) < 2:
-            g = NcPolynomial.zero(n, P)
+            g = NcPolynomial(n, P)
             for b in basis:
                 left = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 3)))
                 right = tuple(rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 3)))

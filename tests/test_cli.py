@@ -443,6 +443,55 @@ class TestInputValidation:
         assert run([command, flag, str(priv), "--public", str(pub)]) == 2
         _one_error_line(capsys)
 
+    def test_encrypt_oversized_key_noise(self, tmp_path, capsys):
+        # C(100003, 3) terms per draw: refused before any noise is drawn,
+        # as keygen refuses the same noise
+        pub = tmp_path / "pub.key"
+        pub.write_text("publickey n=3 p=32003 order=deglex dbound=100000 delta=4\ng X1^2 + X2\nt 1\n")
+        out = tmp_path / "c.txt"
+        start = time.perf_counter()
+        assert run(["encrypt", "--public", str(pub), "--message", "2", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: the key noise exceeds the limit of 10^6 terms\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ring n=\u0662 p=7 order=deglex\nX1\n",
+            "ring n=2 p=\u0667 order=deglex\nX1\n",
+            "ring n=2 p=7 order=deglex\n\u0663*X1\n",
+            "ring n=2 p=7 order=deglex\nX\u0661^2 + X2\n",
+            "ring n=2 p=7 order=deglex\nX1^\uff12\n",
+            "free n=\u0968 p=7\nX1\n",
+            "free n=2 p=\u0667\nX1\n",
+            "free n=2 p=7\nX1*X\u0662\n",
+        ],
+        ids=["ring-n", "ring-p", "coefficient", "index", "exponent", "free-n", "free-p", "letter"],
+    )
+    def test_non_ascii_digits_refused(self, text, tmp_path, capsys):
+        # every other script's digits are refused where ASCII ones are read
+        path = tmp_path / "file"
+        path.write_text(text)
+        argv = ["recon", "--ideal", str(path), "--bound", "2"]
+        if text.startswith("free"):
+            argv = ["nc-recon", "--ideal", str(path), "--public", str(path)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: digits must be ASCII 0-9, got '") and err.count("\n") == 1
+
+    def test_non_ascii_digits_in_key_and_cipher_headers(self, tmp_path, capsys):
+        pub = tmp_path / "pub.key"
+        pub.write_text("publickey n=2 p=32003 order=deglex dbound=\u0661 delta=4\ng X1^2 + X2\nt 1\n")
+        assert run(["encrypt", "--public", str(pub), "--message", "2"]) == 2
+        assert capsys.readouterr().err == "error: digits must be ASCII 0-9, got '\u0661'\n"
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        cipher = tmp_path / "c.txt"
+        cipher.write_text("cipher n=2 p=32003 delta=\u0662\nX1 + 2\n")
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
+        assert capsys.readouterr().err == "error: digits must be ASCII 0-9, got '\u0662'\n"
+
     def test_keygen_oversized_noise(self, tmp_path, capsys, monkeypatch):
         # refused before any noise is drawn
         monkeypatch.setattr("escalier.crypto.random_polynomial", None)

@@ -118,12 +118,12 @@ class TestKeygen:
 
         # two variables, a basis of two: C(1000, 2) * 2 = 999,000 terms pass,
         # C(1001, 2) * 2 = 1,001,000 do not
-        check_key_size(2, 998, 2, 1)
+        check_key_size(2, 998, 2)
         with pytest.raises(ValueError):
-            check_key_size(2, 999, 2, 1)
+            check_key_size(2, 999, 2)
         # a degree of thousands of digits is refused without its binomial
         with pytest.raises(ValueError, match="exceeds the limit of 10\\^6 terms"):
-            check_key_size(3000, 10**5000, 1, 1)
+            check_key_size(3000, 10**5000, 1)
 
 
 def toy_keys_with_m5():
@@ -163,7 +163,7 @@ class TestEncryptDecrypt:
 
     def test_zero_message_gives_ideal_member(self):
         keys = toy_keys()
-        c = encrypt(keys.public, Polynomial.zero(2, 7), random.Random(5))
+        c = encrypt(keys.public, Polynomial(2, 7), random.Random(5))
         assert keys.oracle().can_poly(c.poly).is_zero()
 
     def test_degree_cap_enforced(self):
@@ -179,6 +179,18 @@ class TestEncryptDecrypt:
         keys = toy_keys()
         with pytest.raises(ValueError):
             encrypt(keys.public, poly("X1^2", p=7), random.Random(0))
+
+    def test_oversized_key_noise_refused_before_any_draw(self):
+        # a key declaring noise of degree 100,000 in 3 variables draws
+        # C(100003, 3) terms per public polynomial: refused as keygen would
+        g = poly("X1^2 + X2", n=3, p=7)
+        pk = toy_keys().public._replace(n=3, generators=(g,), normal_terms=((0, 0, 0),),
+                                        noise_degree=100_000)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ParseError, match="the key noise exceeds the limit of 10\\^6 terms"):
+            encrypt(pk, poly("1", n=3, p=7), rng)
+        assert rng.getstate() == state
 
     def test_degenerate_randomness_is_plaintext(self):
         class NoNoise(random.Random):
@@ -243,7 +255,7 @@ class TestAttack:
     def test_zero_message_recovered(self):
         keys = toy_keys()
         att = attack_commutative(keys.oracle(), keys.public)
-        c = encrypt(keys.public, Polynomial.zero(2, 7), random.Random(77))
+        c = encrypt(keys.public, Polynomial(2, 7), random.Random(77))
         assert att.decrypt(c.poly).is_zero()
 
     def test_small_bound_mis_decrypts(self):

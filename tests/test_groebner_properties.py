@@ -141,3 +141,24 @@ def test_a_lead_past_the_width_restarts_wider(monkeypatch):
     assert widths == [4, 8]
     assert max(g.degree() for g in gb.elements) == 9
     assert _elements(gb) == _elements(reference_buchberger(gens, order))
+
+
+def test_rings_of_thousands_of_variables(monkeypatch):
+    # the widest ring that runs packed and the narrowest that runs on tuples
+    # give the reference loop's elements; the wide one never packs a term
+    widths = []
+    packed_ring = polynomials._packed_ring
+
+    def recording(n, kind, w):
+        widths.append(n)
+        return packed_ring(n, kind, w)
+
+    monkeypatch.setattr(polynomials, "_packed_ring", recording)
+    edge = polynomials._PACKED_MAX_VARIABLES
+    for n in (edge, edge + 1):
+        texts = ("X1 + X2", "X2^2 + X3", "X1*X3 + 1", f"X{n}^2 + X{n - 1}*X1 + 5")
+        gens = [parse_polynomial(text, n, 32003) for text in texts]
+        for kind in ("deglex", "degrevlex"):
+            order = TermOrder(kind)
+            assert _elements(buchberger(gens, order)) == _elements(reference_buchberger(gens, order))
+    assert set(widths) == {edge}

@@ -48,7 +48,7 @@ class TestArithmetic:
 
 class TestNormalForm:
     def test_zero(self):
-        assert normal_form(NcPolynomial.zero(2, P), Reducer([ncpoly("X1*X2")], ORDER)).is_zero()
+        assert normal_form(NcPolynomial(2, P), Reducer([ncpoly("X1*X2")], ORDER)).is_zero()
 
     def test_two_sided_multiple_vanishes(self):
         g = ncpoly("X1*X2 - 1")
@@ -122,6 +122,32 @@ class TestOverlapCheck:
 
     def test_commutator(self):
         assert overlap_check(Reducer([ncpoly("X2*X1 - X1*X2")], ORDER))
+
+    def test_inclusion_at_two_positions(self):
+        # X1*X2 occurs inside X1*X2*X1*X2 at 0 and at 2: both inclusions are
+        # ambiguities, and the verdicts are those the check always gave
+        seen = []
+        sandwich = NcPolynomial.sandwich
+
+        def recording(self, left, right):
+            seen.append((left, right))
+            return sandwich(self, left, right)
+
+        cases = {
+            ("0", "X1*X2*X1"): True,
+            ("1", "1"): True,
+            ("2*X2", "X1*X1*X2*X2"): True,
+            ("X1", "X1*X1*X1"): False,
+            ("X1 + X2", "X1*X1*X2*X2"): False,
+        }
+        for (tail, big_tail), verdict in cases.items():
+            basis = [ncpoly("X1*X2") - ncpoly(tail), ncpoly("X1*X2*X1*X2") - ncpoly(big_tail)]
+            seen.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(NcPolynomial, "sandwich", recording)
+                assert overlap_check(Reducer(basis, ORDER)) is verdict
+            if verdict:
+                assert {((), (1, 2)), ((1, 2), ())} <= set(seen)
 
     def test_requires_monic(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ exit 2 with one error line; any other exception from a parser would give
 a malformed file the exit code of a mathematical failure.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from escalier.crypto import (
     render_ciphertext,
     render_public_key,
 )
-from escalier.errors import ParseError
+from escalier.errors import ParseError, decimal
 from escalier.nc_polynomials import NcPolynomial, parse_free_file, render_free_file
 from escalier.polynomials import Polynomial, parse_ideal_file, render_ideal_file
 from escalier.staircase import StaircaseResult, parse_result, render_result
@@ -143,3 +144,36 @@ def test_mutated_input_raises_only_parse_error(data, case):
         parse(data.draw(mutations(text)))
     except ParseError:
         pass
+
+
+# Arabic-Indic, Devanagari and fullwidth digits: decimal to str.isdecimal
+# and to re's \d, refused by errors.decimal, the one digit rule
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_ideal_file, "ring n=\u0662 p=7 order=deglex\nX1\n"),
+        (parse_ideal_file, "ring n=2 p=\u0967\u0967 order=deglex\nX1\n"),
+        (parse_ideal_file, "ring n=2 p=7 order=deglex\n\uff13*X1\n"),
+        (parse_ideal_file, "ring n=2 p=7 order=deglex\nX\u0661^2 + X2\n"),
+        (parse_ideal_file, "ring n=2 p=7 order=deglex\nX1^\u0662\n"),
+        (parse_free_file, "free n=\u0662 p=7\nX1\n"),
+        (parse_free_file, "free n=2 p=7\nX1*X\u0662\n"),
+        (parse_public_key, "publickey n=2 p=7 order=deglex dbound=\u0661 delta=4\ng X1\n"),
+        (parse_public_key, "publickey n=2 p=7 order=deglex dbound=1 delta=4\ng X1\nt X\u0662\n"),
+        (parse_ciphertext, "cipher n=2 p=7 delta=\u0662\nX1\n"),
+        (parse_result, "generators k=0 D=\u0662 n=2 p=7\nbasis\nqueries 0\n"),
+    ],
+    ids=["ring-n", "ring-p", "coefficient", "index", "exponent", "free-n", "letter",
+         "key-header", "key-term", "cipher-header", "result-header"],
+)
+def test_non_ascii_digits_raise_parse_error(parse, text):
+    with pytest.raises(ParseError, match="^digits must be ASCII 0-9, got '"):
+        parse(text)
+
+
+def test_decimal_refusal_is_clipped():
+    assert decimal("0123") == 123
+    two = "\u0662"
+    with pytest.raises(ParseError) as e:
+        decimal(two * 5000)
+    assert str(e.value) == f"digits must be ASCII 0-9, got '{two * 60}...'"

@@ -72,7 +72,7 @@ class TestCandidates:
 
     def test_zero_raises(self):
         with pytest.raises(ValueError):
-            candidate_terms(NcPolynomial.zero(2, P))
+            candidate_terms(NcPolynomial(2, P))
 
 
 class TestPeel:
@@ -177,7 +177,7 @@ class TestCoveringBasis:
         o = nc_oracle(*private)
         publics = []
         for _ in range(3):
-            g = NcPolynomial.zero(2, P)
+            g = NcPolynomial(2, P)
             for b in private:
                 left = tuple(rng.randrange(1, 3) for _ in range(rng.randrange(0, 3)))
                 right = tuple(rng.randrange(1, 3) for _ in range(rng.randrange(0, 3)))

@@ -10,7 +10,6 @@ from escalier.words import (
     WordOrder,
     is_factor,
     parse_word,
-    subword_occurrences,
     word_to_text,
 )
 
@@ -38,31 +37,18 @@ class TestConcat:
             assert len(WordMonoid.apply((l, r), m)) == len(l) + len(m) + len(r)
 
 
-class TestOccurrences:
-    def test_two_hits(self):
-        assert subword_occurrences((1, 2), (1, 2, 1, 2)) == [
-            ((), (1, 2)),
-            ((1, 2), ()),
-        ]
-
-    def test_empty_pattern(self):
-        w = (1, 2, 2)
-        occ = subword_occurrences((), w)
-        assert len(occ) == len(w) + 1
-
-    def test_no_hit(self):
-        assert subword_occurrences((2, 2), (1, 2, 1, 2)) == []
-
-    def test_reconstruction(self):
+class TestCofactor:
+    def test_leftmost_occurrence(self):
         rng = random.Random(1)
         for _ in range(100):
             pat = random_word(rng, max_len=3)
             w = random_word(rng, max_len=6)
-            for left, right in subword_occurrences(pat, w):
-                assert WordMonoid.apply((left, right), pat) == w
-            assert bool(subword_occurrences(pat, w)) == is_factor(pat, w)
-            # the cofactor is the leftmost occurrence
-            assert WordMonoid.cofactor(pat, w) == next(iter(subword_occurrences(pat, w)), None)
+            starts = [i for i in range(len(w) - len(pat) + 1) if w[i : i + len(pat)] == pat]
+            q = WordMonoid.cofactor(pat, w)
+            assert (q is not None) == bool(starts) == is_factor(pat, w)
+            if q is not None:
+                assert WordMonoid.apply(q, pat) == w
+                assert len(q[0]) == starts[0]
 
 
 class TestOfDegree:
