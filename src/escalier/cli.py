@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import crypto, forge
-from .errors import ParseError, check_size, clip
+from .errors import ParseError, check_size, clip, decimal
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -199,6 +199,18 @@ def _cmd_bench_queries(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer flag: an optional - and ASCII digits, by errors.decimal's
+    rule; int() alone would also take _, + and any script's digits."""
+    digits = text.removeprefix("-")
+    if not digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}")
+    try:
+        return decimal(digits) if digits == text else -decimal(digits)
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(e) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Flags match whole, and a usage error raises ParseError: one line."""
 
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("recon", help="reconstruct staircase generators")
     sp.add_argument("--ideal", required=True)
-    sp.add_argument("--bound", type=int, required=True)
+    sp.add_argument("--bound", type=_integer, required=True)
     sp.add_argument("--binary-search", action="store_true")
     common(sp, order=True)
     sp.set_defaults(handler=_cmd_recon)
@@ -239,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("forge", help="build the bound-necessity ideal pair")
     sp.add_argument("--j", required=True, help="ideal file for the base ideal")
-    sp.add_argument("--delta", type=int, required=True, help="agreement degree")
+    sp.add_argument("--delta", type=_integer, required=True, help="agreement degree")
     sp.add_argument("--demo", action="store_true", help="run both reconstructions")
     common(sp, queries=False, order=True)
     sp.set_defaults(handler=_cmd_forge)
 
     sp = sub.add_parser("keygen", help="generate a key pair")
     sp.add_argument("--ideal", required=True)
-    sp.add_argument("--public-count", type=int, default=2)
-    sp.add_argument("--noise-degree", type=int, default=1)
-    sp.add_argument("--message-terms", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--public-count", type=_integer, default=2)
+    sp.add_argument("--noise-degree", type=_integer, default=1)
+    sp.add_argument("--message-terms", type=_integer, default=4)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--out-private", required=True)
     sp.add_argument("--out-public", required=True)
     common(sp, out=False, queries=False, order=True)
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("encrypt", help="encrypt a message polynomial")
     sp.add_argument("--public", required=True)
     sp.add_argument("--message", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_integer, default=0)
     common(sp, queries=False)
     sp.set_defaults(handler=_cmd_encrypt)
 
@@ -271,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("attack", help="reconstruct the basis via the oracle")
     sp.add_argument("--private", required=True, help="builds the decryption oracle")
     sp.add_argument("--public", required=True)
-    sp.add_argument("--bound", type=int, help="default: the public degree cap")
+    sp.add_argument("--bound", type=_integer, help="default: the public degree cap")
     common(sp)
     sp.set_defaults(handler=_cmd_attack)
 
     sp = sub.add_parser("nc-probe", help="free-algebra decryption probe")
     sp.add_argument("--private", required=True)
     sp.add_argument("--public", required=True)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=_integer, default=20)
+    sp.add_argument("--seed", type=_integer, default=0)
     common(sp, out=False, queries=False)
     sp.set_defaults(handler=_cmd_nc_probe)
 
@@ -290,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench-queries", help="reconstruction vs brute force")
     sp.add_argument("--ideal", required=True)
-    sp.add_argument("--bound", type=int, required=True)
+    sp.add_argument("--bound", type=_integer, required=True)
     common(sp, out=False, queries=False, order=True)
     sp.set_defaults(handler=_cmd_bench_queries)
 

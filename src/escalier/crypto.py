@@ -34,6 +34,34 @@ from .staircase import StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
 
 
+def _drawer(monoid, n: int, max_degree: int, p: int, rng: random.Random, density: float = 0.6):
+    """The one draw rule: the monomials of degree at most max_degree are
+    listed once, in of_degree order, and each draw keeps each of them in
+    turn with probability density and a coefficient from 1..p-1. Returns
+    a function making one draw, as (monomial, coefficient) pairs."""
+    monomials = [t for d in range(max_degree + 1) for t in monoid.of_degree(n, d)]
+    return lambda: [(t, rng.randrange(1, p)) for t in monomials if rng.random() < density]
+
+
+def _noise_sum(base: Polynomial, products) -> Polynomial:
+    """base + the sum of products (left, g) or (left, g, right), taken one
+    at a time: g a polynomial of base's ring, left and right draws. Each
+    product's terms go straight into one dict, which makes one polynomial,
+    trusted like any product."""
+    mul = base.monoid.mul
+    out = dict(base.items())
+    for terms, g, *right in products:
+        base._compatible(g)
+        *inner, last = g.items(), *right
+        for f in inner:
+            terms = [(mul(s, t), cs * ct) for s, cs in terms for t, ct in f]
+        for s, cs in terms:
+            for t, ct in last:
+                u = mul(s, t)
+                out[u] = out.get(u, 0) + cs * ct
+    return base._ring(base.n, base.p, out)
+
+
 def random_polynomial(
     n: int,
     p: int,
@@ -42,17 +70,10 @@ def random_polynomial(
     cls: type = Polynomial,
     density: float = 0.6,
 ) -> Polynomial:
-    """Random polynomial of cls of degree at most max_degree, each monomial
-    present with probability density; may be zero. Its monomials come
-    from the monoid's of_degree and are trusted, so none is validated
-    again."""
-    of_degree = cls.monoid.of_degree
-    coeffs = {}
-    for d in range(max_degree + 1):
-        for t in of_degree(n, d):
-            if rng.random() < density:
-                coeffs[t] = rng.randrange(1, p)
-    return cls._ring(n, p, coeffs)
+    """Random polynomial of cls of degree at most max_degree by the one
+    draw rule (_drawer); may be zero. Its monomials come from the monoid's
+    of_degree and are trusted, so none is validated again."""
+    return cls._ring(n, p, dict(_drawer(cls.monoid, n, max_degree, p, rng, density)()))
 
 
 def check_key_size(n: int, noise_degree: int, draws: int) -> None:
@@ -143,10 +164,9 @@ def keygen(
     normal = normal[:message_terms]
 
     publics = []
+    draw, zero = _drawer(Polynomial.monoid, n, noise_degree, p, rng), Polynomial(n, p)
     while len(publics) < count_public:
-        g = Polynomial(n, p)
-        for gamma in basis.elements:
-            g = g + random_polynomial(n, p, noise_degree, rng) * gamma
+        g = _noise_sum(zero, ((draw(), gamma) for gamma in basis.elements))
         if not g.is_zero():
             publics.append(g)
 
@@ -167,9 +187,8 @@ def encrypt(pk: PublicKey, message: Polynomial, rng: random.Random) -> Ciphertex
     if not message.support() <= allowed:
         raise ParseError("message uses terms outside the public alphabet")
     check_key_size(pk.n, pk.noise_degree, len(pk.generators))
-    c = message
-    for g in pk.generators:
-        c = c + random_polynomial(pk.n, pk.p, pk.noise_degree, rng) * g
+    draw = _drawer(Polynomial.monoid, pk.n, pk.noise_degree, pk.p, rng)
+    c = _noise_sum(message, ((draw(), g) for g in pk.generators))
     return Ciphertext(poly=c, degree_cap=pk.degree_cap)
 
 
@@ -261,15 +280,12 @@ def nc_attack_probe(
     alphabet = list(islice((w for w in words if not oracle.member_T(w)), 4))
 
     successes = 0
+    draw = _drawer(NcPolynomial.monoid, n, 1, p, rng, 0.4)
     for _ in range(trials):
-        msg = NcPolynomial(
+        msg = NcPolynomial._ring(
             n, p, {w: rng.randrange(p) for w in alphabet if rng.random() < 0.7}
         )
-        c = msg
-        for g in public_gens:
-            left = random_polynomial(n, p, 1, rng, NcPolynomial, 0.4)
-            right = random_polynomial(n, p, 1, rng, NcPolynomial, 0.4)
-            c = c + left * g * right
+        c = _noise_sum(msg, ((draw(), g, draw()) for g in public_gens))
         if normal_form(c, reducer) == msg:
             successes += 1
     return NcProbeReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from operator import add
 from typing import Iterator, Optional
 
 from .terms import read_monomial
@@ -82,9 +83,7 @@ class WordMonoid:
             raise ValueError(f"word {w} uses letters outside X1..X{n}")
         return w
 
-    @staticmethod
-    def mul(u: Word, v: Word) -> Word:
-        return u + v
+    mul = staticmethod(add)
 
     @staticmethod
     def cofactor(lead: Word, w: Word) -> Optional[tuple[Word, Word]]:

@@ -3,7 +3,7 @@
 import random
 from bisect import bisect, insort
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import le
 
 from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder
@@ -262,3 +262,43 @@ def reference_buchberger(generators, order):
         tail = g._ring(g.n, g.p, {s: c for s, c in g._coeffs.items() if s != t})
         reduced.append(g._ring(g.n, g.p, {t: 1, **normal_form(tail, reducer)._coeffs}))
     return GroebnerBasis(tuple(reduced), order)
+
+
+def reference_nc_probe(oracle, public_gens, trials, rng, ciphertexts=None):
+    """nc_attack_probe as the library wrote it before its noise was summed
+    in one dict, kept as the reference for its report, its ciphertexts
+    (appended to ciphertexts when given) and its draws: each noise factor
+    a polynomial of its own, drawn word by word, then multiplied and added
+    polynomial by polynomial."""
+    from escalier.crypto import NcProbeReport
+    from escalier.peeling import covering_basis
+    from escalier.polynomials import Reducer, normal_form
+    from escalier.words import WordMonoid
+
+    n, p = oracle.n, oracle.p
+    basis = covering_basis(oracle, public_gens)
+    reducer = Reducer(basis, WordMonoid.default_order)
+    words = chain.from_iterable(WordMonoid.of_degree(n, d) for d in range(3))
+    alphabet = list(islice((w for w in words if not oracle.member_T(w)), 4))
+
+    def noise():
+        coeffs = {}
+        for d in range(2):
+            for w in WordMonoid.of_degree(n, d):
+                if rng.random() < 0.4:
+                    coeffs[w] = rng.randrange(1, p)
+        return NcPolynomial(n, p, coeffs)
+
+    successes = 0
+    for _ in range(trials):
+        msg = NcPolynomial(n, p, {w: rng.randrange(p) for w in alphabet if rng.random() < 0.7})
+        c = msg
+        for g in public_gens:
+            left = noise()
+            right = noise()
+            c = c + left * g * right
+        if ciphertexts is not None:
+            ciphertexts.append(c)
+        if normal_form(c, reducer) == msg:
+            successes += 1
+    return NcProbeReport(trials, successes, trials - successes, len(basis))

@@ -216,6 +216,41 @@ class TestCryptoCommands:
         assert res.generators == {(2, 0), (0, 2)}
 
 
+class TestPinnedBytes:
+    """Seeded outputs recorded before keygen, encrypt and nc-probe summed
+    their noise in one dict: a change to a draw, to the order of the
+    draws or to the sum shows here as a changed byte."""
+
+    PUBLIC_11 = (
+        "publickey n=2 p=32003 order=deglex dbound=1 delta=4\n"
+        "g 6051*X1*X2^2 + 28019*X2^2 + 18343*X1^2 + 18343*X2 + 6051*X1 + 28019\n"
+        "g 9942*X1^2*X2 + 27594*X2^2 + 20119*X1^2 + 20119*X2 + 17652\n"
+        "t 1\nt X1\nt X2\nt X1*X2\n"
+    )
+    CIPHER_9 = (
+        "cipher n=2 p=32003 delta=4\n"
+        "27261*X1^2*X2^2 + 22265*X1^3*X2 + 22842*X2^3 + 22679*X1*X2^2 + 24181*X1^2*X2"
+        " + 6426*X1^3 + 19566*X2^2 + 6431*X1*X2 + 22097*X1^2 + 17678*X2 + 417*X1 + 27390\n"
+    )
+
+    def test_keygen_encrypt_and_probe(self, tmp_path, capsys):
+        ring, priv, pub, cipher = (tmp_path / f for f in ("key.ideal", "priv", "pub", "c.txt"))
+        ring.write_text(KEYRING)
+        argv = ["keygen", "--ideal", str(ring), "--seed", "11"]
+        assert run(argv + ["--out-private", str(priv), "--out-public", str(pub)]) == 0
+        assert priv.read_text() == KEYRING and pub.read_text() == self.PUBLIC_11
+        argv = ["encrypt", "--public", str(pub), "--message", "3*X1 + 5*X1*X2 + 2", "--seed", "9"]
+        assert run(argv + ["--out", str(cipher)]) == 0
+        assert cipher.read_text() == self.CIPHER_9
+        nc_priv, nc_pub = tmp_path / "nc.free", tmp_path / "pub.free"
+        nc_priv.write_text(NC_PRIVATE)
+        nc_pub.write_text(NC_PUBLIC)
+        capsys.readouterr()
+        argv = ["nc-probe", "--private", str(nc_priv), "--public", str(nc_pub)]
+        assert run(argv + ["--trials", "8", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == "trials 8 successes 8 failures 0 basis 2\n"
+
+
 class TestForge:
     def test_demo(self, tmp_path, capsys):
         path = tmp_path / "j.ideal"
@@ -494,7 +529,7 @@ class TestInputValidation:
 
     def test_keygen_oversized_noise(self, tmp_path, capsys, monkeypatch):
         # refused before any noise is drawn
-        monkeypatch.setattr("escalier.crypto.random_polynomial", None)
+        monkeypatch.setattr("escalier.crypto._drawer", None)
         ring = tmp_path / "key.ideal"
         ring.write_text(KEYRING)
         argv = ["keygen", "--ideal", str(ring), "--noise-degree", "5000", "--public-count", "1"]
@@ -524,6 +559,56 @@ class TestInputValidation:
     def test_usage_errors_are_one_line(self, flags, ex51, capsys):
         assert run(["recon", "--ideal", str(ex51)] + flags) == 2
         _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["recon", "--ideal", "r", "--bound"], "--bound"),
+            (["bench-queries", "--ideal", "r", "--bound"], "--bound"),
+            (["attack", "--private", "r", "--public", "k", "--bound"], "--bound"),
+            (["forge", "--j", "r", "--delta"], "--delta"),
+            (["keygen", "--ideal", "r", "--out-private", "a", "--out-public", "b", "--public-count"],
+             "--public-count"),
+            (["keygen", "--ideal", "r", "--out-private", "a", "--out-public", "b", "--noise-degree"],
+             "--noise-degree"),
+            (["keygen", "--ideal", "r", "--out-private", "a", "--out-public", "b", "--message-terms"],
+             "--message-terms"),
+            (["keygen", "--ideal", "r", "--out-private", "a", "--out-public", "b", "--seed"], "--seed"),
+            (["encrypt", "--public", "k", "--message", "1", "--seed"], "--seed"),
+            (["nc-probe", "--private", "f", "--public", "g", "--trials"], "--trials"),
+            (["nc-probe", "--private", "f", "--public", "g", "--seed"], "--seed"),
+        ],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, argv, flag, capsys, monkeypatch):
+        # refused while the flags are read, before any file is opened
+        monkeypatch.setattr("escalier.cli.Path", None)
+        for value, why in [
+            ("\u0662", "digits must be ASCII 0-9, got '\u0662'"),
+            ("-\u0662", "digits must be ASCII 0-9, got '\u0662'"),
+            ("+2", "invalid int value: '+2'"),
+            ("2_0", "invalid int value: '2_0'"),
+            (" 2", "invalid int value: ' 2'"),
+            ("2.0", "invalid int value: '2.0'"),
+            ("9" * 5000, "an integer has more digits than Python converts"),
+        ]:
+            assert run(argv + [value]) == 2
+            assert capsys.readouterr() == ("", f"error: argument {flag}: {why}\n")
+
+    def test_recon_bound_in_another_script(self, ex51, capsys):
+        # an Arabic-Indic two is not read as 2
+        assert run(["recon", "--ideal", str(ex51), "--bound", "\u0662"]) == 2
+        assert capsys.readouterr().err == "error: argument --bound: digits must be ASCII 0-9, got '\u0662'\n"
+        assert run(["recon", "--ideal", str(ex51), "--bound", "2"]) == 0
+
+    def test_nc_probe_trials_in_another_script(self, tmp_path, capsys):
+        priv, pub = tmp_path / "nc.free", tmp_path / "pub.free"
+        priv.write_text(NC_PRIVATE)
+        pub.write_text(NC_PUBLIC)
+        argv = ["nc-probe", "--private", str(priv), "--public", str(pub), "--trials"]
+        assert run(argv + ["\u0662"]) == 2
+        _one_error_line(capsys)
+        assert run(argv + ["2"]) == 0
+        assert capsys.readouterr().out == "trials 2 successes 2 failures 0 basis 2\n"
 
     def test_missing_command_is_one_line(self, capsys):
         assert run([]) == 2
@@ -607,7 +692,7 @@ class TestInputValidation:
 
     def test_keygen_noise_of_thousands_of_digits(self, tmp_path, capsys, monkeypatch):
         # C(103000, 3000) terms per public polynomial, refused before any draw
-        monkeypatch.setattr("escalier.crypto.random_polynomial", None)
+        monkeypatch.setattr("escalier.crypto._drawer", None)
         ideal = tmp_path / "wide.ideal"
         ideal.write_text("ring n=3000 p=7 order=deglex\nX1^2\n")
         argv = ["keygen", "--ideal", str(ideal), "--noise-degree", "100000"]

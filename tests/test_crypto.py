@@ -77,7 +77,7 @@ class TestKeygen:
             raise RuntimeError("keygen started work on bad counts")
 
         monkeypatch.setattr("escalier.crypto.buchberger", no_work)
-        monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
+        monkeypatch.setattr("escalier.crypto._drawer", no_work)
         with pytest.raises(ValueError):
             keygen([poly("X1^2 + X2", p=7)], DEGLEX, *counts, random.Random(0))
 
@@ -85,7 +85,7 @@ class TestKeygen:
         def no_work(*args):
             raise RuntimeError("keygen drew noise for an oversized key")
 
-        monkeypatch.setattr("escalier.crypto.random_polynomial", no_work)
+        monkeypatch.setattr("escalier.crypto._drawer", no_work)
         with pytest.raises(ValueError, match="exceeds the limit"):
             keygen([poly("X1^2 + X2", p=7)], DEGLEX, 1, 5000, 4, random.Random(0))
 
