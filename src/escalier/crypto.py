@@ -62,26 +62,13 @@ def _noise_sum(base: Polynomial, products) -> Polynomial:
     return base._ring(base.n, base.p, out)
 
 
-def random_polynomial(
-    n: int,
-    p: int,
-    max_degree: int,
-    rng: random.Random,
-    cls: type = Polynomial,
-    density: float = 0.6,
-) -> Polynomial:
-    """Random polynomial of cls of degree at most max_degree by the one
-    draw rule (_drawer); may be zero. Its monomials come from the monoid's
-    of_degree and are trusted, so none is validated again."""
-    return cls._ring(n, p, dict(_drawer(cls.monoid, n, max_degree, p, rng, density)()))
-
-
-def check_key_size(n: int, noise_degree: int, draws: int) -> None:
-    """Refuse noise of more than 10^6 terms: draws random polynomials of
-    degree d = noise_degree, C(n + d, n) terms each; keygen draws one per
-    basis element per public polynomial, encrypt one per public polynomial.
-    C(n + d, n) >= n + d, so d capped at 10^6 gives the same verdict cheaply."""
-    size = comb(n + min(noise_degree, MAX_TERMS), n) * draws
+def check_key_size(n: int, noise_degree: int, factors: int) -> None:
+    """Refuse noise of more than 10^6 products: each draw, of degree
+    d = noise_degree and up to C(n + d, n) terms, multiplies a factor, and
+    factors counts their terms (keygen: count_public times the basis
+    support; encrypt: the public support). C(n + d, n) >= n + d, so d
+    capped at 10^6 gives the same verdict cheaply."""
+    size = comb(n + min(noise_degree, MAX_TERMS), n) * factors
     check_size(size, "the key noise")
 
 
@@ -144,7 +131,7 @@ def keygen(
         raise ParseError("key generation needs a degree-compatible order")
     basis = buchberger(generators, order)
     n, p = basis.elements[0].n, basis.elements[0].p
-    check_key_size(n, noise_degree, len(basis.elements) * count_public)
+    check_key_size(n, noise_degree, count_public * sum(len(g.items()) for g in basis.elements))
     leads = basis.leading_terms()
     if any(sum(t) == 0 for t in leads):
         raise ParseError("the ideal is the whole ring; nothing can be hidden")
@@ -186,7 +173,7 @@ def encrypt(pk: PublicKey, message: Polynomial, rng: random.Random) -> Ciphertex
     allowed = set(pk.normal_terms)
     if not message.support() <= allowed:
         raise ParseError("message uses terms outside the public alphabet")
-    check_key_size(pk.n, pk.noise_degree, len(pk.generators))
+    check_key_size(pk.n, pk.noise_degree, sum(len(g.items()) for g in pk.generators))
     draw = _drawer(Polynomial.monoid, pk.n, pk.noise_degree, pk.p, rng)
     c = _noise_sum(message, ((draw(), g) for g in pk.generators))
     return Ciphertext(poly=c, degree_cap=pk.degree_cap)

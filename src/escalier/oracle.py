@@ -76,15 +76,11 @@ class CanOracle:
     ) -> "CanOracle":
         """Oracle for the ideal of the generators; an empty generator list
         (with explicit n and p) gives the zero ideal."""
-        if isinstance(generators, GroebnerBasis):
-            order, elems = generators.order, list(generators.elements)
-        else:
+        if not isinstance(generators, GroebnerBasis):
             gens = [g for g in generators if not g.is_zero()]
             order = order or TermOrder("deglex")
-            if gens:
-                elems = list(buchberger(gens, order).elements)
-            else:
-                elems = []
+            generators = buchberger(gens, order) if gens else GroebnerBasis((), order)
+        order, elems = generators.order, generators.elements
         if elems:
             n, p = elems[0].n, elems[0].p
         if n is None or p is None:
@@ -131,15 +127,11 @@ class CanOracle:
 
     # --- queries --------------------------------------------------------
 
-    def _term_poly(self, t):
-        """The monomial t, which the caller has validated."""
-        return self.__algebra._ring(self.__n, self.__p, {t: 1})
-
     def can_term(self, t):
         """Canonical form of a single term; one ledger query."""
         t = self.__monoid.validate(t, self.__n)
         self.__count += 1
-        return normal_form(self._term_poly(t), self.__reducer)
+        return normal_form(self.__algebra._ring(self.__n, self.__p, {t: 1}), self.__reducer)
 
     def member_T(self, t) -> bool:
         """True iff t lies in the hidden leading-term ideal; one query."""
@@ -172,7 +164,7 @@ class CanOracle:
         products satisfy sum(l * t * r) = t, checked before any query; the
         masked answers are summed, and the result equals can_term(t).
         """
-        term = self._term_poly(self.__monoid.validate(t, self.__n))
+        term = self.__algebra._ring(self.__n, self.__p, {self.__monoid.validate(t, self.__n): 1})
         zero = self.__algebra(self.__n, self.__p)
         pieces = [left * term * right for left, right in decomposition]
         if sum(pieces, zero) != term:

@@ -10,7 +10,7 @@ two strips of one-letter steps verified by membership queries.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .nc_polynomials import NcPolynomial
 from .polynomials import Reducer, normal_form
@@ -26,22 +26,23 @@ def candidate_terms(g: NcPolynomial) -> list[Word]:
     return [w for w in supp if not any(v != w and is_factor(w, v) for v in supp)]
 
 
-def peel(oracle, start: Word) -> Word:
-    """Shrink a member of the leading-word ideal to a minimal generator
-    that is a factor of it, in at most len(start) verified strips.
+def peel(oracle, words: Iterable[Word]) -> Optional[Word]:
+    """Shrink the first of words inside the leading-word ideal, asked in
+    turn, to a minimal generator that is a factor of it, in at most one
+    verified strip per letter; None if no word is inside.
 
     The first strip drops the first letter while the rest stays inside,
     the second the last letter. The result t is inside, t[:-1] outside,
     and t[1:] outside too: it is a prefix of the rest the first strip
     stopped on, and a prefix of an outside word is outside. So t is a
     minimal generator. Assumes a proper ideal (the empty word is
-    outside), so the empty start is refused.
+    outside), so an inside empty word is refused.
     """
-    t = tuple(start)
+    t = next((tuple(w) for w in words if oracle.member_T(w)), None)
+    if t is None:
+        return None
     if not t:
         raise ValueError("cannot peel the empty word: it lies in no proper ideal")
-    if not oracle.member_T(t):
-        raise ValueError("peeling must start inside the leading-word ideal")
     while len(t) > 1 and oracle.member_T(t[1:]):
         t = t[1:]
     while len(t) > 1 and oracle.member_T(t[:-1]):
@@ -77,10 +78,9 @@ def covering_basis(
         target = next((r for r in residual if not r.is_zero()), None)
         if target is None:
             break
-        start = next((w for w in candidate_terms(target) if oracle.member_T(w)), None)
-        if start is None:
+        w = peel(oracle, candidate_terms(target))
+        if w is None:
             raise ValueError("public set inconsistent with oracle: element outside the ideal")
-        w = peel(oracle, start)
         if w in leads:
             raise RuntimeError("peeled a generator that was already reduced away")
         leads.add(w)

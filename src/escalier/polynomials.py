@@ -19,7 +19,7 @@ from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ParseError, clip, decimal
+from .errors import ParseError, check_size, clip, decimal
 from .field import inv_mod, validate_prime
 from .terms import Term, TermMonoid, TermOrder, minimal_terms, packed_monoid
 
@@ -183,6 +183,7 @@ def parse_polynomial(text: str, n: int, p: int, cls: type = Polynomial) -> Polyn
                 coeff *= decimal(factor)
             else:
                 t = monoid.mul(t, monoid.parse(factor, n))
+        check_size(monoid.degree(t), "a monomial", "in degree")
         coeffs[t] = coeffs.get(t, 0) + coeff
     return cls(n, p, coeffs)
 

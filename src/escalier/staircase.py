@@ -48,11 +48,12 @@ class StaircaseResult(NamedTuple):
 # --- monotone scans -------------------------------------------------------
 
 
-def _bisect(test: Callable[[int], bool], lo: int, hi: int) -> int:
+def _least(test: Callable[[int], bool], lo: int, hi: int, binary: bool) -> int:
     """Smallest v in [lo, hi] with test(v) true, for monotone test with
-    test(hi) true; test(hi) itself is never asked."""
+    test(hi) true, by bisection or by a walk up from lo; test(hi) itself
+    is never asked."""
     while lo < hi:
-        mid = (lo + hi) // 2
+        mid = (lo + hi) // 2 if binary else lo
         if test(mid):
             hi = mid
         else:
@@ -61,23 +62,18 @@ def _bisect(test: Callable[[int], bool], lo: int, hi: int) -> int:
 
 
 def _scan_min_true(test: Callable[[int], bool], lo: int, hi: int, binary: bool):
-    """Smallest v in [lo, hi] with test(v) true, for monotone test; None if none."""
-    if lo > hi:
+    """Smallest v in [lo, hi] with test(v) true, for monotone test; None if
+    none. Bisection asks test(hi) first, the walk last."""
+    if lo > hi or binary and not test(hi):
         return None
-    if not binary:
-        for v in range(lo, hi + 1):
-            if test(v):
-                return v
-        return None
-    if not test(hi):
-        return None
-    return _bisect(test, lo, hi)
+    v = _least(test, lo, hi, binary)
+    return v if binary or v < hi or test(hi) else None
 
 
 def _drop_min_true(test: Callable[[int], bool], hi: int, binary: bool) -> int:
     """Smallest v in [0, hi] with test(v) true, given test(hi) is known true."""
     if binary:
-        return _bisect(test, 0, hi)
+        return _least(test, 0, hi, True)
     v = hi
     while v >= 1 and test(v - 1):
         v -= 1

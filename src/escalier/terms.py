@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import add, le, lshift, neg, pos, sub
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError, clip, decimal
+from .errors import ParseError, check_size, clip, decimal
 
 Term = tuple[int, ...]
 
@@ -156,10 +156,11 @@ def read_monomial(text: str, n: int, factor: re.Pattern, what: str) -> Iterator[
 
 
 def parse_term(text: str, n: int) -> Term:
-    """Parse the term grammar: factors Xi and Xi^e, exponents adding up."""
+    """Parse the term grammar: factors Xi and Xi^e, exponents adding up to degree <= 10^6."""
     exps = [0] * n
     for i, e in read_monomial(text, n, _FACTOR, "term"):
         exps[i - 1] += e
+    check_size(sum(exps), "a term", "in degree")
     return tuple(exps)
 
 

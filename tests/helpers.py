@@ -6,7 +6,9 @@ from heapq import heappop, heappush
 from itertools import chain, islice, repeat
 from operator import le
 
-from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder
+from hypothesis import strategies as st
+
+from escalier import CanOracle, NcPolynomial, Polynomial, TermOrder, parse_polynomial
 from escalier.polynomials import s_pair_remainders
 from escalier.terms import minimal_terms
 
@@ -17,15 +19,46 @@ LEX = TermOrder("lex")
 
 
 def poly(text: str, n: int = 2, p: int = P) -> Polynomial:
-    from escalier import parse_polynomial
-
     return parse_polynomial(text, n, p)
 
 
 def ncpoly(text: str, n: int = 2, p: int = P) -> NcPolynomial:
-    from escalier import parse_polynomial
-
     return parse_polynomial(text, n, p, NcPolynomial)
+
+
+# non-monomial bases that resolve every ambiguity, as text in n letters
+FIXED = [
+    (2, ["X1*X2 - 1"]),
+    (1, ["X1*X1 - 1"]),
+    (2, ["X2*X1 - X1*X2"]),
+    (2, ["X1*X2 - 1", "X2*X1 - 1"]),
+    (2, ["X2*X1 - X1"]),
+    (3, ["X2*X1*X2 - X2"]),
+]
+
+
+@st.composite
+def free_instances(draw):
+    """A free-algebra basis, monomial or one of FIXED, and 1 to 3 public
+    members: sums of sandwiched basis elements, which may be zero."""
+    p = draw(st.sampled_from([2, 7, 32003]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        word = st.lists(st.integers(1, n), min_size=2, max_size=3).map(tuple)
+        words = draw(st.lists(word, min_size=1, max_size=3, unique=True))
+        basis = [NcPolynomial(n, p, {w: 1}) for w in words]
+    else:
+        n, texts = draw(st.sampled_from(FIXED))
+        basis = [parse_polynomial(t, n, p, NcPolynomial) for t in texts]
+    side = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    publics = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = NcPolynomial(n, p)
+        for b in basis:
+            c = draw(st.integers(1, p - 1))
+            g = g + b.sandwich(draw(side), draw(side)).scale(c)
+        publics.append(g)
+    return basis, publics
 
 
 def compare(order, a, b) -> int:
@@ -103,6 +136,31 @@ def reference_peel(oracle, start):
         else:
             return (head,) + body
     return (head,)
+
+
+def reference_covering_basis(oracle, public_gens):
+    """covering_basis as the library wrote it before peel found its own
+    start, kept as the reference for its elements and queries: each round
+    scans the candidates for one inside, and peels it with reference_peel,
+    which asks that start again."""
+    from escalier.peeling import candidate_terms
+    from escalier.polynomials import Reducer, normal_form
+
+    reducer = Reducer((), NcPolynomial.monoid.default_order)
+    leads = set()
+    while True:
+        residual = [normal_form(g, reducer) for g in public_gens]
+        target = next((r for r in residual if not r.is_zero()), None)
+        if target is None:
+            return reducer.elements
+        start = next((w for w in candidate_terms(target) if oracle.member_T(w)), None)
+        if start is None:
+            raise ValueError("public set inconsistent with oracle: element outside the ideal")
+        w = reference_peel(oracle, start)
+        if w in leads:
+            raise RuntimeError("peeled a generator that was already reduced away")
+        leads.add(w)
+        reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
 
 
 def reference_corner_generators(oracle, n, bound, binary):

@@ -490,6 +490,78 @@ class TestInputValidation:
         assert capsys.readouterr().err == "error: the key noise exceeds the limit of 10^6 terms\n"
         assert not out.exists()
 
+    def test_keygen_noise_counted_by_its_products(self, tmp_path, capsys, monkeypatch):
+        # C(1000, 2) = 499,500 noise terms per draw pass as a count of
+        # draws (two basis elements), but each multiplies a basis element
+        # of two terms: 1,998,000 products, refused before any draw
+        monkeypatch.setattr("escalier.crypto._drawer", None)
+        ring = tmp_path / "key.ideal"
+        ring.write_text(KEYRING)
+        argv = ["keygen", "--ideal", str(ring), "--noise-degree", "998", "--public-count", "1"]
+        argv += ["--out-private", str(tmp_path / "priv"), "--out-public", str(tmp_path / "pub")]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: the key noise exceeds the limit of 10^6 terms\n"
+        assert not (tmp_path / "pub").exists()
+
+    def test_encrypt_noise_counted_by_its_products(self, tmp_path, capsys, monkeypatch):
+        # the same noise on a key of two public members of two terms each
+        monkeypatch.setattr("escalier.crypto._drawer", None)
+        pub = tmp_path / "pub.key"
+        pub.write_text(
+            "publickey n=2 p=32003 order=deglex dbound=998 delta=1000\n"
+            "g X1^2 + X2\ng X2^2 + 1\nt 1\n"
+        )
+        out = tmp_path / "c.txt"
+        assert run(["encrypt", "--public", str(pub), "--message", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the key noise exceeds the limit of 10^6 terms\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recon", "keygen"])
+    def test_degree_past_the_limit_refused_at_parse(self, command, tmp_path, capsys):
+        # completing X1^N - 1 by X1^2 - 1 takes time and memory linear in N
+        ideal = tmp_path / "deep.ideal"
+        ideal.write_text("ring n=1 p=7 order=deglex\nX1^1000000000 - 1\nX1^2 - 1\n")
+        argv = {
+            "recon": ["recon", "--ideal", str(ideal), "--bound", "1"],
+            "keygen": ["keygen", "--ideal", str(ideal), "--out-private", str(tmp_path / "priv"),
+                       "--out-public", str(tmp_path / "pub")],
+        }[command]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: a term exceeds the limit of 10^6 in degree\n"
+
+    @pytest.mark.parametrize(
+        "line, what",
+        [
+            ("X1^600000*X1^600000", "a monomial"),
+            ("X1^500000*X2^500001 + 1", "a monomial"),
+            ("3*X1^1000001", "a term"),
+        ],
+    )
+    def test_degree_is_checked_per_monomial(self, line, what, tmp_path, capsys):
+        # a factor is a term and is checked alone; a product of factors
+        # that each pass is checked as a monomial
+        ideal = tmp_path / "deep.ideal"
+        ideal.write_text(f"ring n=2 p=7 order=deglex\n{line}\n")
+        assert run(["recon", "--ideal", str(ideal), "--bound", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {what} exceeds the limit of 10^6 in degree\n"
+
+    def test_degree_of_a_public_key_term_refused(self, tmp_path, capsys):
+        pub = tmp_path / "pub.key"
+        pub.write_text(
+            "publickey n=2 p=32003 order=deglex dbound=1 delta=4\ng X1^2 + X2\nt X1^999999*X1^2\n"
+        )
+        assert run(["encrypt", "--public", str(pub), "--message", "2"]) == 2
+        assert capsys.readouterr().err == "error: a term exceeds the limit of 10^6 in degree\n"
+
+    def test_degree_at_the_limit_parses(self):
+        n, p, order, (f, g) = parse_ideal_file("ring n=1 p=7 order=deglex\nX1^1000000 - 1\nX1^2 - 1\n")
+        assert f.degree() == 10**6 and g.degree() == 2
+        assert parse_polynomial("X1^400000*X2^600000", 2, 7).degree() == 10**6
+
     @pytest.mark.parametrize(
         "text",
         [

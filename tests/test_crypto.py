@@ -3,6 +3,7 @@ import random
 import pytest
 
 from escalier.crypto import (
+    _drawer,
     AttackResult,
     Ciphertext,
     KeyPair,
@@ -13,7 +14,6 @@ from escalier.crypto import (
     nc_attack_probe,
     parse_ciphertext,
     parse_public_key,
-    random_polynomial,
     recover_basis_element,
     render_ciphertext,
     render_public_key,
@@ -116,8 +116,9 @@ class TestKeygen:
     def test_key_size_limit_edge(self):
         from escalier.crypto import check_key_size
 
-        # two variables, a basis of two: C(1000, 2) * 2 = 999,000 terms pass,
-        # C(1001, 2) * 2 = 1,001,000 do not
+        # two variables, noise multiplying two terms in all (one public
+        # member of two terms, say): C(1000, 2) * 2 = 999,000 products
+        # pass, C(1001, 2) * 2 = 1,001,000 do not
         check_key_size(2, 998, 2)
         with pytest.raises(ValueError):
             check_key_size(2, 999, 2)
@@ -132,24 +133,26 @@ def toy_keys_with_m5():
 
 
 class TestNoise:
-    def test_random_polynomial_equals_a_validated_build(self):
+    def test_draws_are_valid_distinct_monomials(self):
         rng = random.Random(3)
         cases = ((Polynomial, 1, 7, 3), (Polynomial, 2, 3, 2), (Polynomial, 3, 32003, 2))
         for cls, n, p, d in cases + ((NcPolynomial, 3, 7, 2),):
+            draw = _drawer(cls.monoid, n, d, p, rng)
             for _ in range(10):
-                f = random_polynomial(n, p, d, rng, cls)
-                assert type(f) is cls and f == cls(n, p, dict(f.items()))
-                assert f.degree() <= d and all(0 < c < p for _, c in f.items())
+                pairs = draw()
+                f = cls(n, p, dict(pairs))
+                assert len(f.items()) == len(pairs) and set(f.items()) == set(pairs)
+                assert f.degree() <= d and all(0 < c < p for _, c in pairs)
 
     def test_word_noise_draws_shortest_words_first(self):
         # one draw per word, lengths 0..max in turn, the last letter
         # running fastest, so a seed gives the same noise on every version
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
-            f = random_polynomial(2, 7, 2, rng, NcPolynomial, 0.4)
+            pairs = _drawer(NcPolynomial.monoid, 2, 2, 7, rng, 0.4)()
             words = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
-            want = {w: ref.randrange(1, 7) for w in words if ref.random() < 0.4}
-            assert f == NcPolynomial(2, 7, want) and rng.random() == ref.random()
+            want = [(w, ref.randrange(1, 7)) for w in words if ref.random() < 0.4]
+            assert pairs == want and rng.random() == ref.random()
 
 
 class TestEncryptDecrypt:

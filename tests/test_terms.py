@@ -245,6 +245,12 @@ GRAMMAR = [
     ("2*X1", "bad term factor '2'", "bad word factor '2'"),
 ]
 
+# a term's degree is capped at 10^6; a word has no exponents to cap
+DEGREE_CAP = [
+    ("X1^999999*X2", (999999, 1), "bad word factor 'X1^999999'"),
+    ("X1^999999*X2^2", "a term exceeds the limit of 10^6 in degree", "bad word factor 'X1^999999'"),
+]
+
 
 @pytest.mark.parametrize(
     "parse, text, want",
@@ -258,6 +264,15 @@ def test_one_grammar_verdicts(parse, text, want):
         assert str(refused.value) == want
     else:
         assert parse(text, 2) == want
+
+
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [(parse_term, text, term) for text, term, _ in DEGREE_CAP]
+    + [(parse_word, text, word) for text, _, word in DEGREE_CAP],
+)
+def test_degree_cap_verdicts(parse, text, want):
+    test_one_grammar_verdicts(parse, text, want)
 
 
 def test_minimal_terms():
