@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import crypto, forge
@@ -23,10 +24,11 @@ from .peeling import covering_basis
 from .polynomials import (
     Reducer,
     content_lines,
+    normal_form,
     parse_ideal_file,
     parse_polynomial,
     render_ideal_file,
-    s_pair_remainders,
+    s_polynomial,
 )
 from .staircase import brute_force_generators, check_box, reconstruct, render_result
 from .terms import ORDER_KINDS, TermOrder
@@ -72,9 +74,8 @@ def _cmd_nc_recon(args) -> int:
     oracle, publics = _free_oracle(args.ideal, args.public)
     trace: list[str] = []
     h = covering_basis(oracle, publics, trace=trace)
-    lines = [render_free_file(h, oracle.n, oracle.p).rstrip("\n")]
-    lines.extend(f"# {line}" for line in trace)
-    _emit("\n".join(lines) + "\n", args.out)
+    comments = "".join(f"# {line}\n" for line in trace)
+    _emit(render_free_file(h, oracle.n, oracle.p) + comments, args.out)
     if args.queries:
         print(f"queries {oracle.queries}")
     return 0
@@ -178,11 +179,12 @@ def _cmd_verify_gb(args) -> int:
         print(f"ambiguities resolve: {ok}")
     else:
         n, p, order, polys = _load_ideal(args.ideal, args.order)
-        for i, j, r in s_pair_remainders(polys, order):
-            state = "ok" if r.is_zero() else "remainder"
-            print(f"pair ({i},{j}): {state} {r.to_text(order)}")
-            if not r.is_zero():
-                ok = False
+        elems = [g for g in polys if not g.is_zero()]
+        reducer = Reducer(elems, order)
+        for (i, f), (j, g) in combinations(enumerate(elems), 2):
+            r = normal_form(s_polynomial(f, g, order), reducer)
+            print(f"pair ({i},{j}): {'ok' if r.is_zero() else 'remainder'} {r.to_text(order)}")
+            ok = ok and r.is_zero()
     return 0 if ok else 1
 
 

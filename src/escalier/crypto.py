@@ -29,6 +29,7 @@ from .polynomials import (
     header,
     normal_form,
     parse_polynomial,
+    write_file,
 )
 from .staircase import StaircaseResult, reconstruct
 from .terms import Term, TermOrder, divides, parse_term, term_to_text, terms_of_degree
@@ -253,10 +254,13 @@ def nc_attack_probe(
 
     For each trial a message over oracle fixed points is hidden under
     noise sum(p_j * g_j * q_j) and reduced by the covering basis; the
-    tally records agreement without asserting either outcome. More than
-    10^6 trials, about 30 s of work, are refused before any query.
+    tally records agreement without asserting either outcome. A negative
+    count, and more than 10^6 trials, about 30 s of work, are refused
+    before any query.
     """
     check_size(trials, "the probe", "trials")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     n, p = oracle.n, oracle.p
     basis = covering_basis(oracle, public_gens)
     reducer = Reducer(basis, NcPolynomial.monoid.default_order)
@@ -284,19 +288,15 @@ def nc_attack_probe(
 
 
 def render_public_key(pk: PublicKey) -> str:
-    lines = [
-        f"publickey n={pk.n} p={pk.p} order={pk.order.kind}"
-        f" dbound={pk.noise_degree} delta={pk.degree_cap}"
-    ]
-    lines.extend(f"g {g.to_text(pk.order)}" for g in pk.generators)
-    lines.extend(f"t {term_to_text(t)}" for t in pk.normal_terms)
-    return "\n".join(lines) + "\n"
+    fields = f"n={pk.n} p={pk.p} order={pk.order.kind} dbound={pk.noise_degree} delta={pk.degree_cap}"
+    gens = (f"g {g.to_text(pk.order)}" for g in pk.generators)
+    terms = (f"t {term_to_text(t)}" for t in pk.normal_terms)
+    return write_file(f"publickey {fields}", chain(gens, terms))
 
 
 def parse_public_key(text: str) -> PublicKey:
-    head, *body = content_lines(text) or [""]
-    n, p, order, dbound, delta = header(
-        head, "publickey", ("n", "p", "order", "dbound", "delta")
+    (n, p, order, dbound, delta), body = header(
+        text, "publickey", ("n", "p", "order", "dbound", "delta")
     )
     gens = []
     terms = []
@@ -316,12 +316,12 @@ def parse_public_key(text: str) -> PublicKey:
 
 
 def render_ciphertext(c: Ciphertext, n: int, p: int) -> str:
-    return f"cipher n={n} p={p} delta={c.degree_cap}\n{c.poly.to_text()}\n"
+    return write_file(f"cipher n={n} p={p} delta={c.degree_cap}", [c.poly.to_text()])
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
-    lines = content_lines(text)
-    if len(lines) != 2:
+    # lines are counted before the header is read, so an empty file gets this refusal
+    if len(content_lines(text)) != 2:
         raise ParseError("ciphertext file needs a header and one polynomial")
-    n, p, cap = header(lines[0], "cipher", ("n", "p", "delta"))
-    return Ciphertext(poly=parse_polynomial(lines[1], n, p), degree_cap=cap)
+    (n, p, cap), (line,) = header(text, "cipher", ("n", "p", "delta"))
+    return Ciphertext(poly=parse_polynomial(line, n, p), degree_cap=cap)

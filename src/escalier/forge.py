@@ -121,8 +121,6 @@ class BoundDemo(NamedTuple):
     bound_big: int
     small_generators: frozenset[Term]
     big_generators: frozenset[Term]
-    expected_small: frozenset[Term]
-    expected_big: frozenset[Term]
     small_matches_shifted: bool
     big_matches_extended: bool
     differ: bool
@@ -150,8 +148,6 @@ def demonstrate_bound_necessity(pair: ForgedPair) -> BoundDemo:
         bound_big=big,
         small_generators=res_small.generators,
         big_generators=res_big.generators,
-        expected_small=expected_small,
-        expected_big=expected_big,
         small_matches_shifted=res_small.generators == expected_small,
         big_matches_extended=res_big.generators == expected_big,
         differ=res_small.generators != res_big.generators,

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .polynomials import (
-    Polynomial,
-    Reducer,
-    content_lines,
-    header,
-    normal_form,
-    parse_polynomial,
-)
+from .polynomials import Polynomial, Reducer, header, normal_form, parse_polynomial, write_file
 from .words import Word, WordMonoid
 
 
@@ -72,13 +65,10 @@ def overlap_check(reducer: Reducer) -> bool:
 
 
 def render_free_file(polys: Iterable[NcPolynomial], n: int, p: int) -> str:
-    lines = [f"free n={n} p={p}"]
-    lines.extend(f.to_text() for f in polys)
-    return "\n".join(lines) + "\n"
+    return write_file(f"free n={n} p={p}", (f.to_text() for f in polys))
 
 
 def parse_free_file(text: str):
     """-> (n, p, polynomials)."""
-    head, *body = content_lines(text) or [""]
-    n, p = header(head, "free", ("n", "p"))
+    (n, p), body = header(text, "free", ("n", "p"))
     return n, p, [parse_polynomial(ln, n, p, NcPolynomial) for ln in body]

@@ -1,6 +1,6 @@
 """Sparse polynomials over a prime field and the one reduction loop, with
 Buchberger's algorithm and reduced Groebner bases for the commutative
-ring, and the header parser shared by every file format.
+ring, and the one file layout, header and write_file, of every format.
 
 A polynomial's class fixes its monoid of monomials: Polynomial uses
 commutative terms (terms.TermMonoid), NcPolynomial in nc_polynomials uses
@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import cache
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ParseError, check_size, clip, decimal
 from .field import inv_mod, validate_prime
@@ -438,16 +438,6 @@ def _complete(gens: list, order, limit=None) -> Optional[list]:
     return reduced
 
 
-def s_pair_remainders(basis: list[Polynomial], order: TermOrder) -> Iterator[tuple]:
-    """(i, j, remainder) for every pair i < j of the nonzero elements, in
-    order: the normal form of their S-polynomial over all of them."""
-    elems = [g for g in basis if not g.is_zero()]
-    reducer = Reducer(elems, order)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            yield i, j, normal_form(s_polynomial(elems[i], elems[j], order), reducer)
-
-
 def gb_degree(basis: GroebnerBasis) -> int:
     """Largest total degree of a basis element."""
     return max(g.degree() for g in basis.elements)
@@ -463,11 +453,13 @@ def content_lines(text: str) -> list[str]:
 _MAX_VARIABLES = 10_000
 
 
-def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
-    """Values of a header line ``<kind> <field>=<value> ...`` carrying
-    exactly the given fields, in that order. Every value is a nonnegative
-    integer except order, which names a term order; n must lie in 1 to
-    _MAX_VARIABLES and p must be a prime that validate_prime accepts."""
+def header(text: str, kind: str, fields: tuple[str, ...]) -> tuple:
+    """(values, body lines) of a file whose first content line is a
+    header ``<kind> <field>=<value> ...`` carrying exactly the given
+    fields, in that order. Every value is a nonnegative integer except
+    order, which names a term order; n must lie in 1 to _MAX_VARIABLES and
+    p must be a prime that validate_prime accepts."""
+    line, *body = content_lines(text) or [""]
     parts = line.split()
     pairs = [part.partition("=") for part in parts[1:]]
     if parts[:1] != [kind] or [(k, eq) for k, eq, _ in pairs] != [(f, "=") for f in fields]:
@@ -487,19 +479,21 @@ def header(line: str, kind: str, fields: tuple[str, ...]) -> tuple:
             raise ParseError(f"{kind} header needs at least one variable, got n={clip(value)}")
         if name == "n" and values[-1] > _MAX_VARIABLES:
             raise ParseError(f"{kind} header has n={clip(value)}, over the limit of {_MAX_VARIABLES}")
-    return tuple(values)
+    return tuple(values), body
+
+
+def write_file(head: str, body: Iterable[str]) -> str:
+    """The header line, then one line per item of body, each ending in a newline."""
+    return "\n".join([head, *body]) + "\n"
 
 
 def render_ideal_file(
     polys: Iterable[Polynomial], order: TermOrder, n: int, p: int
 ) -> str:
-    lines = [f"ring n={n} p={p} order={order.kind}"]
-    lines.extend(f.to_text(order) for f in polys)
-    return "\n".join(lines) + "\n"
+    return write_file(f"ring n={n} p={p} order={order.kind}", (f.to_text(order) for f in polys))
 
 
 def parse_ideal_file(text: str):
     """-> (n, p, order, polynomials). Blank lines and # comments allowed."""
-    head, *body = content_lines(text) or [""]
-    n, p, order = header(head, "ring", ("n", "p", "order"))
+    (n, p, order), body = header(text, "ring", ("n", "p", "order"))
     return n, p, order, [parse_polynomial(ln, n, p) for ln in body]

@@ -25,7 +25,7 @@ from operator import le
 from typing import Callable, NamedTuple
 
 from .errors import ParseError, check_size, clip, decimal
-from .polynomials import Polynomial, content_lines, header, parse_polynomial
+from .polynomials import Polynomial, header, parse_polynomial, write_file
 from .terms import Term, minimal_terms, parse_term, term_to_text
 
 
@@ -173,21 +173,21 @@ def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
 # --- public entry points ------------------------------------------------------
 
 
-def _generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
-    if n == 1:
-        e = _scan_min_true(lambda v: oracle.member_T((v,)), 0, bound, binary)
-        return set() if e is None else {(e,)}
-    if n == 2:
-        return _two_var_generators(oracle, bound, binary)
-    return _corner_generators(oracle, n, bound, binary)
-
-
 def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseResult:
     """Solve the reconstruction problem: generators of the leading-term
     ideal inside the box, the reduced basis elements t - Can(t), and the
-    number of oracle queries spent."""
+    number of oracle queries spent. Refuses a negative bound before any
+    query."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     start = oracle.queries
-    gens = _generators(oracle, n, bound, binary)
+    if n == 1:
+        e = _scan_min_true(lambda v: oracle.member_T((v,)), 0, bound, binary)
+        gens = set() if e is None else {(e,)}
+    elif n == 2:
+        gens = _two_var_generators(oracle, bound, binary)
+    else:
+        gens = _corner_generators(oracle, n, bound, binary)
     ordered = sorted(gens, key=lambda t: (sum(t), t))
     # t - Can(t) in one dict: Can(t) is normal, so it holds no term t
     basis = tuple(
@@ -215,19 +215,16 @@ def brute_force_generators(oracle, n: int, bound: int) -> set[Term]:
 
 
 def render_result(res: StaircaseResult) -> str:
-    lines = [
-        f"generators k={len(res.generators)} D={res.bound} n={res.nvars} p={res.modulus}"
-    ]
-    lines.extend(term_to_text(t) for t in sorted(res.generators, key=lambda t: (sum(t), t)))
-    lines.append("basis")
-    lines.extend(g.to_text() for g in res.reduced_basis)
-    lines.append(f"queries {res.queries_used}")
-    return "\n".join(lines) + "\n"
+    gens = sorted(res.generators, key=lambda t: (sum(t), t))
+    return write_file(
+        f"generators k={len(gens)} D={res.bound} n={res.nvars} p={res.modulus}",
+        [*map(term_to_text, gens), "basis", *(g.to_text() for g in res.reduced_basis),
+         f"queries {res.queries_used}"],
+    )
 
 
 def parse_result(text: str) -> StaircaseResult:
-    head, *lines = content_lines(text) or [""]
-    k, bound, n, p = header(head, "generators", ("k", "D", "n", "p"))
+    (k, bound, n, p), lines = header(text, "generators", ("k", "D", "n", "p"))
     if len(lines) != 2 * k + 2 or lines[k] != "basis":
         raise ParseError(f"a result needs {k} generators, a basis line and {k} basis elements")
     gens = [parse_term(ln, n) for ln in lines[:k]]

@@ -94,6 +94,22 @@ class TestVerifyGb:
         assert run(["verify-gb", "--ideal", str(path)]) == 1
         assert "remainder" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            ([], "pair (0,1): remainder 32002*X2^2 + X1\npair (0,2): remainder 1\n"
+                 "pair (1,2): remainder X2\n"),
+            (["--order", "lex"], "pair (0,1): remainder 1\npair (0,2): ok 0\n"
+                                 "pair (1,2): remainder 32002*X1^2\n"),
+        ],
+    )
+    def test_exact_output(self, flags, want, tmp_path, capsys):
+        # the 0 line forms no pair, and the pair indices skip it
+        path = tmp_path / "notgb.ideal"
+        path.write_text("ring n=2 p=32003 order=deglex\nX1^2 + X2\n0\nX1*X2 + 1\nX1^3\n")
+        assert run(["verify-gb", "--ideal", str(path)] + flags) == 1
+        assert capsys.readouterr() == (want, "")
+
     def test_nc_file(self, tmp_path, capsys):
         path = tmp_path / "nc.free"
         path.write_text(NC_PRIVATE)
@@ -380,6 +396,18 @@ class TestInputValidation:
         cipher.write_text("cipher n=2 p=32004 delta=4\nX1 + 2\n")
         assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
         _one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", ["", "cipher n=2 p=32003 delta=4\n"])
+    def test_ciphertext_without_a_polynomial(self, text, tmp_path, capsys):
+        # the line count is checked before the header, so an empty file is
+        # refused for its missing lines, not for a bad header
+        priv = tmp_path / "priv.ideal"
+        priv.write_text(KEYRING)
+        cipher = tmp_path / "c.txt"
+        cipher.write_text(text)
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher)]) == 2
+        want = "error: ciphertext file needs a header and one polynomial\n"
+        assert capsys.readouterr() == ("", want)
 
     @pytest.mark.parametrize("command", ["recon", "attack", "bench-queries"])
     def test_negative_bound(self, command, ex51, tmp_path, capsys):

@@ -255,6 +255,13 @@ class TestAttack:
             c = encrypt(keys.public, msg, rng)
             assert att.decrypt(c.poly) == decrypt(keys.oracle(), c) == msg
 
+    def test_negative_bound_refused_before_any_query(self):
+        keys = toy_keys()
+        oracle = keys.oracle()
+        with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+            attack_commutative(oracle, keys.public, bound=-1)
+        assert oracle.queries == 0
+
     def test_zero_message_recovered(self):
         keys = toy_keys()
         att = attack_commutative(keys.oracle(), keys.public)
@@ -333,6 +340,13 @@ class TestNcProbe:
         publics = [ncpoly("X1*X2 - 1").sandwich((2,), ())]
         with pytest.raises(ParseError, match="the probe exceeds the limit of 10\\^6 trials"):
             nc_attack_probe(oracle, publics, 10**6 + 1, random.Random(11))
+        assert oracle.queries == 0
+
+    def test_negative_trials_refused_before_any_query(self):
+        oracle = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])
+        publics = [ncpoly("X1*X2 - 1").sandwich((2,), ())]
+        with pytest.raises(ValueError, match="^trials must be nonnegative$"):
+            nc_attack_probe(oracle, publics, -3, random.Random(11))
         assert oracle.queries == 0
 
 

@@ -103,8 +103,6 @@ def test_demo_equals_two_separate_oracles(seed):
         bound_big=big,
         small_generators=res_small.generators,
         big_generators=res_big.generators,
-        expected_small=expected_small,
-        expected_big=expected_big,
         small_matches_shifted=res_small.generators == expected_small,
         big_matches_extended=res_big.generators == expected_big,
         differ=res_small.generators != res_big.generators,

@@ -123,6 +123,15 @@ class TestTwoVariables:
 
 
 class TestReconstruct:
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_bound_refused_before_any_query(self, n, binary):
+        # the whole ring: at n = 2, (0, 0) is inside the ideal but outside the empty box
+        o = monomial_oracle([(0,) * n], n)
+        with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+            reconstruct(o, n, -1, binary=binary)
+        assert o.queries == 0
+
     def test_three_var_golden(self):
         o = monomial_oracle(EX6, 3)
         res = reconstruct(o, 3, 8)
