@@ -44,9 +44,7 @@ def _emit(text: str, out_path):
 
 def _load_ideal(path, order_override=None):
     n, p, order, polys = parse_ideal_file(Path(path).read_text())
-    if order_override:
-        order = TermOrder(order_override)
-    return n, p, order, polys
+    return n, p, TermOrder(order_override) if order_override else order, polys
 
 
 def _free_oracle(private, public):
@@ -178,7 +176,8 @@ def _cmd_verify_gb(args) -> int:
         ok = overlap_check(Reducer(monic, order))
         print(f"ambiguities resolve: {ok}")
     else:
-        n, p, order, polys = _load_ideal(args.ideal, args.order)
+        n, p, order, polys = parse_ideal_file(text)
+        order = TermOrder(args.order) if args.order else order
         elems = [g for g in polys if not g.is_zero()]
         reducer = Reducer(elems, order)
         for (i, f), (j, g) in combinations(enumerate(elems), 2):

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import MAX_TERMS, ParseError, check_size, clip
 from .nc_polynomials import NcPolynomial
 from .oracle import CanOracle
-from .peeling import covering_basis
+from .peeling import _Attacker
 from .polynomials import (
     GroebnerBasis,
     Polynomial,
@@ -254,7 +254,8 @@ def nc_attack_probe(
 
     For each trial a message over oracle fixed points is hidden under
     noise sum(p_j * g_j * q_j) and reduced by the covering basis; the
-    tally records agreement without asserting either outcome. A negative
+    tally records agreement without asserting either outcome. The cover
+    and the alphabet ask through the oracle's attacker session. A negative
     count, and more than 10^6 trials, about 30 s of work, are refused
     before any query.
     """
@@ -262,13 +263,13 @@ def nc_attack_probe(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     n, p = oracle.n, oracle.p
-    basis = covering_basis(oracle, public_gens)
-    reducer = Reducer(basis, NcPolynomial.monoid.default_order)
+    attacker = _Attacker(oracle)
+    reducer = attacker.cover(public_gens)[0]
 
     # message alphabet: the first four words of length at most 2 fixed
     # by the oracle, shortest first
     words = chain.from_iterable(NcPolynomial.monoid.of_degree(n, d) for d in range(3))
-    alphabet = list(islice((w for w in words if not oracle.member_T(w)), 4))
+    alphabet = list(islice((w for w in words if not attacker.member_T(w)), 4))
 
     successes = 0
     draw = _drawer(NcPolynomial.monoid, n, 1, p, rng, 0.4)
@@ -279,9 +280,7 @@ def nc_attack_probe(
         c = _noise_sum(msg, ((draw(), g, draw()) for g in public_gens))
         if normal_form(c, reducer) == msg:
             successes += 1
-    return NcProbeReport(
-        trials=trials, successes=successes, failures=trials - successes, basis_size=len(basis)
-    )
+    return NcProbeReport(trials, successes, trials - successes, len(reducer.elements))
 
 
 # --- key file formats ----------------------------------------------------

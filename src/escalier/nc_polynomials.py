@@ -41,11 +41,14 @@ def overlap_check(reducer: Reducer) -> bool:
     Every overlap and inclusion ambiguity between leading words must
     reduce to zero under normal_form; then reduction modulo the basis
     computes canonical forms, and those are linear (Bergman 1978).
+    Single monomials pass at once: every ambiguity is w - w.
     """
     order, elems = reducer.order, reducer.elements
     for g in elems:
         if g.leading_data(order)[1] != 1:
             raise ValueError("overlap check requires monic elements")
+    if reducer.monomial:
+        return True
     leads = [g.leading_term(order) for g in elems]
 
     def ambiguities():

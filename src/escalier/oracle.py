@@ -20,9 +20,9 @@ which remembers the reduction step of each monomial it has reduced. The
 memory saves computation only: the ledger charges every query exactly as
 without it. It grows with the distinct monomials the oracle has reduced,
 and lives as long as the oracle, which a long line-protocol session
-should bear in mind. Answers never depend on the ledger, so callers that
-run several sessions over one oracle measure each as a difference of
-queries.
+should bear in mind. Answers never depend on the ledger. covering_basis
+and nc_attack_probe share one session per oracle and ask no word twice,
+so a second run over one oracle costs, as a difference, its new queries.
 """
 
 from __future__ import annotations

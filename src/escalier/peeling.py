@@ -10,6 +10,7 @@ two strips of one-letter steps verified by membership queries.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Optional
 
 from .nc_polynomials import NcPolynomial
@@ -70,24 +71,56 @@ def covering_basis(
     leading word inside. That word is a longest support word, so it is
     always a candidate: a nonzero residual with no candidate inside
     proves its member outside the ideal, and raises ValueError.
+
+    Queries go through the oracle's attacker session: no word is asked of
+    it twice, and a public set it has covered is given again at no cost.
     """
-    reducer = Reducer((), NcPolynomial.monoid.default_order)
-    leads: set[Word] = set()
-    while True:
-        residual = [normal_form(g, reducer) for g in public_gens]
-        target = next((r for r in residual if not r.is_zero()), None)
-        if target is None:
-            break
-        w = peel(oracle, candidate_terms(target))
-        if w is None:
-            raise ValueError("public set inconsistent with oracle: element outside the ideal")
-        if w in leads:
-            raise RuntimeError("peeled a generator that was already reduced away")
-        leads.add(w)
-        reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
-        if trace is not None:
-            supports = sum(len(r.items()) for r in residual)
-            trace.append(
-                f"round {len(leads)}: peeled {word_to_text(w)}, residual supports {supports}"
-            )
+    reducer, lines = _Attacker(oracle).cover(public_gens)
+    if trace is not None:
+        trace.extend(lines)
     return reducer.elements
+
+
+_sessions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Attacker:
+    """An oracle asked through its session in _sessions, which refers to no
+    oracle: every member_T answer, and per public set the covering Reducer
+    and its trace lines. peel takes it for the oracle (member_T, queries)."""
+
+    __slots__ = ("oracle", "answers", "covers")
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.answers, self.covers = _sessions.setdefault(oracle, ({}, {}))
+
+    queries = property(lambda self: self.oracle.queries)
+
+    def member_T(self, w: Word) -> bool:
+        if w not in self.answers:
+            self.answers[w] = self.oracle.member_T(w)
+        return self.answers[w]
+
+    def cover(self, public_gens) -> tuple:
+        """(Reducer, trace lines) of covering_basis's rounds, kept unless they raise."""
+        key, oracle = tuple(public_gens), self.oracle
+        if key in self.covers:
+            return self.covers[key]
+        reducer, leads, lines = Reducer((), NcPolynomial.monoid.default_order), set(), []
+        while True:
+            residual = [normal_form(g, reducer) for g in key]
+            target = next((r for r in residual if not r.is_zero()), None)
+            if target is None:
+                cover = self.covers[key] = reducer, lines
+                return cover
+            w = peel(self, candidate_terms(target))
+            if w is None:
+                raise ValueError("public set inconsistent with oracle: element outside the ideal")
+            if w in leads:
+                raise RuntimeError("peeled a generator that was already reduced away")
+            leads.add(w)
+            reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
+            supports = sum(len(r.items()) for r in residual)
+            lines.append(f"round {len(leads)}: peeled {word_to_text(w)}, "
+                         f"residual supports {supports}")

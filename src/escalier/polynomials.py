@@ -231,12 +231,14 @@ class Reducer:
     depends on that monomial alone, so a remembered step is the step the
     loop would compute, even over a basis whose normal forms are not
     unique. add forgets only the steps the new rule now takes over.
+    monomial flags a basis of single terms, over which reduction filters.
     """
 
-    __slots__ = ("order", "_rules", "_steps")
+    __slots__ = ("order", "monomial", "_rules", "_steps")
 
     def __init__(self, basis: Iterable[Polynomial], order):
         self.order = order
+        self.monomial = True
         self._rules: list = []
         self._steps: dict = {}
         for g in basis:
@@ -254,6 +256,7 @@ class Reducer:
         if self._rules:
             self._rules[0][4]._compatible(g)
         order = self.order
+        self.monomial = self.monomial and len(g._coeffs) == 1
         t, c = g.leading_data(order)
         rule = (order.key(t), len(self._rules), t, inv_mod(c, g.p), g)
         insort(self._rules, rule)
@@ -282,8 +285,11 @@ def normal_form(f: Polynomial, reducer: Reducer) -> Polynomial:
     rules[0][4]._compatible(f)
     if f.is_zero():
         return f
-    key = reducer.order.key
     cofactor, apply = f.monoid.cofactor, f.monoid.apply
+    if reducer.monomial:  # no tails: keep the terms no lead divides, with no steps
+        kept = {t: c for t, c in f._coeffs.items() if all(cofactor(r[2], t) is None for r in rules)}
+        return f._ring(f.n, f.p, kept)
+    key = reducer.order.key
     p = f.p
     work = dict(f._coeffs)
     # pending monomials sorted by cached order key, largest last, one entry

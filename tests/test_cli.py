@@ -94,21 +94,36 @@ class TestVerifyGb:
         assert run(["verify-gb", "--ideal", str(path)]) == 1
         assert "remainder" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flags, want",
-        [
-            ([], "pair (0,1): remainder 32002*X2^2 + X1\npair (0,2): remainder 1\n"
-                 "pair (1,2): remainder X2\n"),
-            (["--order", "lex"], "pair (0,1): remainder 1\npair (0,2): ok 0\n"
-                                 "pair (1,2): remainder 32002*X1^2\n"),
-        ],
-    )
+    EXACT = [
+        ([], "pair (0,1): remainder 32002*X2^2 + X1\npair (0,2): remainder 1\n"
+             "pair (1,2): remainder X2\n"),
+        (["--order", "lex"], "pair (0,1): remainder 1\npair (0,2): ok 0\n"
+                             "pair (1,2): remainder 32002*X1^2\n"),
+    ]
+
+    @pytest.mark.parametrize("flags, want", EXACT)
     def test_exact_output(self, flags, want, tmp_path, capsys):
         # the 0 line forms no pair, and the pair indices skip it
         path = tmp_path / "notgb.ideal"
         path.write_text("ring n=2 p=32003 order=deglex\nX1^2 + X2\n0\nX1*X2 + 1\nX1^3\n")
         assert run(["verify-gb", "--ideal", str(path)] + flags) == 1
         assert capsys.readouterr() == (want, "")
+
+    @pytest.mark.parametrize("flags, want", EXACT)
+    def test_ring_file_is_read_once(self, flags, want, tmp_path, capsys, monkeypatch):
+        # the kind and the basis come from one read, --order applied to it
+        path = tmp_path / "notgb.ideal"
+        path.write_text("ring n=2 p=32003 order=deglex\nX1^2 + X2\n0\nX1*X2 + 1\nX1^3\n")
+        reads, read_text = [], Path.read_text
+
+        def counted(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert run(["verify-gb", "--ideal", str(path)] + flags) == 1
+        assert capsys.readouterr() == (want, "")
+        assert reads == [path]
 
     def test_nc_file(self, tmp_path, capsys):
         path = tmp_path / "nc.free"

@@ -1,7 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from escalier import peeling
+from escalier.crypto import nc_attack_probe
 from escalier.nc_polynomials import NcPolynomial
 from escalier.oracle import CanOracle
 from escalier.peeling import candidate_terms, covering_basis, peel
@@ -170,14 +174,15 @@ class TestCoveringBasis:
         assert covering_basis(nc_oracle(ncpoly("X1*X2"), ncpoly("X2*X1")), [g]) == h
 
     def test_queries_are_the_rounds_alone(self):
-        # round 1 finds X2*X1 inside (1 query), strips it (2) and asks
-        # its element (1); round 2 does the same for X1*X1*X2*X2
-        # (1 + 4 + 1); the start found is not asked again, and no query
-        # checks the public member up front
+        # round 1 finds X2*X1 inside (1 query), strips it by X1 and X2
+        # (2) and asks its element (1); round 2 finds X1*X1*X2*X2 (1),
+        # strips it by X1*X2*X2, X2*X2, X1*X2 and X1, which round 1
+        # already asked (3), and asks its element (1); the start found is
+        # not asked again, and no query checks the public member up front
         o = nc_oracle(ncpoly("X1*X2"), ncpoly("X2*X1"))
         g = NcPolynomial(2, P, {(1, 1, 2, 2): 1, (2, 1): 1})
         covering_basis(o, [g])
-        assert o.queries == 10
+        assert o.queries == 9
 
     def test_contract_on_random_instances(self):
         rng = random.Random(1)
@@ -228,3 +233,53 @@ class TestCoveringBasis:
         o = nc_oracle(ncpoly("X1*X2"))
         with pytest.raises(ValueError):
             covering_basis(o, [ncpoly("X1*X2 + X2*X1")])
+
+
+class TestSession:
+    """One attacker session per oracle: no word is asked of it twice."""
+
+    PUBLIC = NcPolynomial(2, P, {(1, 1, 2, 2): 1, (2, 1): 1})
+
+    def oracle(self):
+        return nc_oracle(ncpoly("X1*X2"), ncpoly("X2*X1"))
+
+    def test_second_cover_asks_nothing(self):
+        o, first, second = self.oracle(), [], []
+        h = covering_basis(o, [self.PUBLIC], trace=first)
+        assert o.queries == 9
+        again = covering_basis(o, [self.PUBLIC], trace=second)
+        assert o.queries == 9
+        assert again == h and again is not h and second == first and len(first) == 2
+
+    def test_probe_reuses_the_cover(self):
+        # the alphabet 1, X1, X2, X1*X1 is outside; the cover asked X1
+        # and X2, so only 1 and X1*X1 are new
+        o, fresh = self.oracle(), self.oracle()
+        covering_basis(o, [self.PUBLIC])
+        rng, fresh_rng = random.Random(3), random.Random(3)
+        report = nc_attack_probe(o, [self.PUBLIC], 5, rng)
+        assert report == nc_attack_probe(fresh, [self.PUBLIC], 5, fresh_rng)
+        assert o.queries == 9 + 2 and fresh.queries == 9 + 2
+        assert rng.random() == fresh_rng.random()
+
+    def test_session_dies_with_its_oracle(self):
+        o = self.oracle()
+        covering_basis(o, [self.PUBLIC])
+        gc.collect()
+        held, alive = len(peeling._sessions), weakref.ref(o)
+        del o
+        gc.collect()
+        assert alive() is None and len(peeling._sessions) == held - 1
+
+    def test_a_cover_that_raises_raises_again(self):
+        # X1*X2 is peeled, then the residual X2*X1 is outside: only the
+        # membership answers are kept, so the second call asks nothing
+        # but the element of X1*X2 again
+        o = nc_oracle(ncpoly("X1*X2"))
+        outside = [ncpoly("X1*X2 + X2*X1")]
+        with pytest.raises(ValueError):
+            covering_basis(o, outside)
+        asked = o.queries
+        with pytest.raises(ValueError):
+            covering_basis(o, outside)
+        assert o.queries == asked + 1

@@ -6,14 +6,16 @@ draw small rings under every term order and the word order, raw
 generator sets (mostly not Groebner bases, and free bases whose
 ambiguities need not resolve), and a session of reductions interleaved
 with add calls. After every step the reused reducer must give exactly
-the result of the reference loop over the basis as it stands.
+the result of the reference loop over the basis as it stands. Over a
+basis of single monomials, which reduces by filtering, so must every
+reduction.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.nc_polynomials import NcPolynomial
+from escalier.nc_polynomials import NcPolynomial, overlap_check
 from escalier.polynomials import Polynomial, Reducer, normal_form
 from escalier.terms import TermOrder
 from escalier.words import WordOrder
@@ -80,6 +82,48 @@ def test_reused_reducer_matches_fresh_reduction_in_the_ring(case):
 @given(case=free_sessions())
 def test_reused_reducer_matches_fresh_reduction_in_the_free_algebra(case):
     check_session(*case)
+
+
+@st.composite
+def monomial_cases(draw):
+    """(order, basis of single monomials, polynomials to reduce), in the
+    ring under every term order or in the free algebra."""
+    n, p = draw(st.integers(1, 3)), draw(PRIMES)
+    if draw(st.booleans()):
+        cls, order = Polynomial, draw(TERM_ORDERS)
+        short = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+        long = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    else:
+        cls, order = NcPolynomial, WordOrder()
+        short = st.lists(st.integers(1, n), max_size=3).map(tuple)
+        long = st.lists(st.integers(1, n), max_size=5).map(tuple)
+    basis = draw(st.lists(polynomials(cls, n, p, short, 1).filter(bool), min_size=1, max_size=4))
+    return order, basis, draw(st.lists(polynomials(cls, n, p, long, 6), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=monomial_cases())
+def test_monomial_basis_filters_like_the_reference_loop(case):
+    order, basis, fs = case
+    reducer = Reducer(basis, order)
+    assert reducer.monomial
+    for f in fs:
+        assert normal_form(f, reducer) == reference_normal_form(f, basis, order)
+    if order is WordOrder():
+        # every ambiguity of single monomials is w - w
+        assert overlap_check(Reducer([g.monic(order) for g in basis], order))
+
+
+def test_a_tail_ends_the_monomial_filter():
+    order = TermOrder("deglex")
+    basis = [Polynomial(2, 7, {(1, 1): 3}), Polynomial(2, 7, {(2, 0): 1, (0, 0): 1})]
+    f = Polynomial(2, 7, {(3, 0): 1, (1, 2): 2, (0, 1): 4})
+    reducer = Reducer(basis[:1], order)
+    assert reducer.monomial
+    assert normal_form(f, reducer) == Polynomial(2, 7, {(3, 0): 1, (0, 1): 4})
+    reducer.add(basis[1])
+    assert not reducer.monomial
+    assert normal_form(f, reducer) == reference_normal_form(f, basis, order)
 
 
 def test_the_earlier_rule_keeps_winning_a_tie():
