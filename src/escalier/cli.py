@@ -17,7 +17,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import crypto, forge
-from .errors import ParseError, check_size, clip, decimal
+from .errors import ParseError, clip, decimal
 from .nc_polynomials import overlap_check, parse_free_file, render_free_file
 from .oracle import CanOracle
 from .peeling import covering_basis
@@ -47,13 +47,14 @@ def _load_ideal(path, order_override=None):
     return n, p, TermOrder(order_override) if order_override else order, polys
 
 
-def _free_oracle(private, public):
-    """Oracle of the private free-algebra basis, with the public
-    polynomials, which must live in the same algebra."""
+def _free_oracle(private, public, trials=0):
+    """Oracle of the private free-algebra basis, with the public polynomials,
+    which must live in the same algebra and pass check_probe_size."""
     n, p, basis = parse_free_file(Path(private).read_text())
     pn, pp, publics = parse_free_file(Path(public).read_text())
     if (pn, pp) != (n, p):
         raise ParseError("public file and private file use different algebras")
+    crypto.check_probe_size(n, publics, trials)
     return CanOracle.noncommutative(basis), publics
 
 
@@ -152,8 +153,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_nc_probe(args) -> int:
-    check_size(args.trials, "the probe", "trials")  # before the oracle is built
-    oracle, publics = _free_oracle(args.private, args.public)
+    oracle, publics = _free_oracle(args.private, args.public, args.trials)
     rng = random.Random(args.seed)
     report = crypto.nc_attack_probe(oracle, publics, args.trials, rng)
     print(

@@ -18,8 +18,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import MAX_TERMS, ParseError, check_size, clip
 from .nc_polynomials import NcPolynomial
-from .oracle import CanOracle
-from .peeling import _Attacker
+from .oracle import CanOracle, _Attacker
+from .peeling import _cover
 from .polynomials import (
     GroebnerBasis,
     Polynomial,
@@ -71,6 +71,14 @@ def check_key_size(n: int, noise_degree: int, factors: int) -> None:
     capped at 10^6 gives the same verdict cheaply."""
     size = comb(n + min(noise_degree, MAX_TERMS), n) * factors
     check_size(size, "the key noise")
+
+
+def check_probe_size(n: int, public_gens, trials: int) -> None:
+    """Refuse more than 10^6 trials (about 30 s of work) or noise products;
+    a trial multiplies each public term by up to n + 1 words a side."""
+    check_size(trials, "the probe", "trials")
+    products = (n + 1) ** 2 * sum(len(g.items()) for g in public_gens) * trials
+    check_size(products, "the probe noise", "products")
 
 
 class PublicKey(NamedTuple):
@@ -193,11 +201,11 @@ def recover_basis_element(oracle: CanOracle, lead: Term, masking=None) -> Polyno
     decomposition asks the same question split across several products
     and sums the answers; the result is identical.
     """
-    if not oracle.member_T(lead):
+    attacker, lead = _Attacker(oracle), tuple(lead)
+    element = attacker.element(lead) if masking is None else None
+    if not attacker.member_T(lead):
         raise ValueError("term is not a leading term of the hidden ideal")
-    fake = Polynomial.term(lead, oracle.p)
-    can = oracle.can_poly(fake) if masking is None else oracle.masked_can(lead, masking)
-    return fake - can
+    return element or Polynomial.term(lead, oracle.p) - oracle.masked_can(lead, masking)
 
 
 class AttackResult:
@@ -256,15 +264,14 @@ def nc_attack_probe(
     noise sum(p_j * g_j * q_j) and reduced by the covering basis; the
     tally records agreement without asserting either outcome. The cover
     and the alphabet ask through the oracle's attacker session. A negative
-    count, and more than 10^6 trials, about 30 s of work, are refused
-    before any query.
+    count, and a probe that check_probe_size refuses, are refused before
+    any query or draw.
     """
-    check_size(trials, "the probe", "trials")
+    check_probe_size(oracle.n, public_gens, trials)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    n, p = oracle.n, oracle.p
-    attacker = _Attacker(oracle)
-    reducer = attacker.cover(public_gens)[0]
+    n, p, attacker = oracle.n, oracle.p, _Attacker(oracle)
+    reducer = _cover(attacker, public_gens)[0]
 
     # message alphabet: the first four words of length at most 2 fixed
     # by the oracle, shortest first

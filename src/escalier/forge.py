@@ -129,8 +129,8 @@ class BoundDemo(NamedTuple):
 
 
 def demonstrate_bound_necessity(pair: ForgedPair) -> BoundDemo:
-    """Run the reconstruction against the extended ideal's oracle at the
-    agreement degree and one above it, and report what each returns."""
+    """Reconstruct over the extended ideal's oracle at the agreement degree,
+    then one above it, charged only its new queries; report both runs."""
     small, big = pair.agree_degree, pair.agree_degree + 1
 
     oracle = CanOracle.commutative(pair.extended_basis)

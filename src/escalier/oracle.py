@@ -20,13 +20,14 @@ which remembers the reduction step of each monomial it has reduced. The
 memory saves computation only: the ledger charges every query exactly as
 without it. It grows with the distinct monomials the oracle has reduced,
 and lives as long as the oracle, which a long line-protocol session
-should bear in mind. Answers never depend on the ledger. covering_basis
-and nc_attack_probe share one session per oracle and ask no word twice,
-so a second run over one oracle costs, as a difference, its new queries.
+should bear in mind. Answers never depend on the ledger. Every attack
+asks through one session per oracle (_Attacker) and asks no question
+twice, so a second run over one oracle costs, as a difference, its new queries.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import repeat
 from operator import le
 from typing import Iterable, Optional, Union
@@ -170,6 +171,37 @@ class CanOracle:
         if sum(pieces, zero) != term:
             raise ValueError("decomposition does not sum back to the term")
         return sum(map(self.can_poly, pieces), zero)
+
+
+_sessions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Attacker:
+    """An oracle asked through its session in _sessions, which refers to no
+    oracle: membership answers, elements t - Can(t) and peeling's covers."""
+
+    __slots__ = ("oracle", "answers", "elements", "covers")
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.answers, self.elements, self.covers = _sessions.setdefault(oracle, ({}, {}, {}))
+
+    queries = property(lambda self: self.oracle.queries)  # peel takes it for the oracle
+
+    def member_T(self, t) -> bool:
+        if t not in self.answers:
+            self.answers[t] = self.oracle.member_T(t)
+        return self.answers[t]
+
+    def element(self, t):
+        """t - Can(t) from one can_term; Can(t) is normal, so holds t just when t is outside."""
+        if t not in self.elements:
+            can = self.oracle.can_term(t)
+            out = {s: -c for s, c in can.items()}
+            self.answers.setdefault(t, t not in out)
+            out[t] = out.get(t, 0) + 1
+            self.elements[t] = can._ring(can.n, can.p, out)
+        return self.elements[t]
 
 
 # --- line protocol ------------------------------------------------------

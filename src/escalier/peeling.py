@@ -10,10 +10,10 @@ two strips of one-letter steps verified by membership queries.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, Optional
 
 from .nc_polynomials import NcPolynomial
+from .oracle import _Attacker
 from .polynomials import Reducer, normal_form
 from .words import Word, is_factor, word_to_text
 
@@ -75,52 +75,31 @@ def covering_basis(
     Queries go through the oracle's attacker session: no word is asked of
     it twice, and a public set it has covered is given again at no cost.
     """
-    reducer, lines = _Attacker(oracle).cover(public_gens)
+    reducer, lines = _cover(_Attacker(oracle), public_gens)
     if trace is not None:
         trace.extend(lines)
     return reducer.elements
 
 
-_sessions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-class _Attacker:
-    """An oracle asked through its session in _sessions, which refers to no
-    oracle: every member_T answer, and per public set the covering Reducer
-    and its trace lines. peel takes it for the oracle (member_T, queries)."""
-
-    __slots__ = ("oracle", "answers", "covers")
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.answers, self.covers = _sessions.setdefault(oracle, ({}, {}))
-
-    queries = property(lambda self: self.oracle.queries)
-
-    def member_T(self, w: Word) -> bool:
-        if w not in self.answers:
-            self.answers[w] = self.oracle.member_T(w)
-        return self.answers[w]
-
-    def cover(self, public_gens) -> tuple:
-        """(Reducer, trace lines) of covering_basis's rounds, kept unless they raise."""
-        key, oracle = tuple(public_gens), self.oracle
-        if key in self.covers:
-            return self.covers[key]
-        reducer, leads, lines = Reducer((), NcPolynomial.monoid.default_order), set(), []
-        while True:
-            residual = [normal_form(g, reducer) for g in key]
-            target = next((r for r in residual if not r.is_zero()), None)
-            if target is None:
-                cover = self.covers[key] = reducer, lines
-                return cover
-            w = peel(self, candidate_terms(target))
-            if w is None:
-                raise ValueError("public set inconsistent with oracle: element outside the ideal")
-            if w in leads:
-                raise RuntimeError("peeled a generator that was already reduced away")
-            leads.add(w)
-            reducer.add(NcPolynomial.term(w, oracle.n, oracle.p) - oracle.can_term(w))
-            supports = sum(len(r.items()) for r in residual)
-            lines.append(f"round {len(leads)}: peeled {word_to_text(w)}, "
-                         f"residual supports {supports}")
+def _cover(attacker, public_gens) -> tuple:
+    """(Reducer, trace lines) of covering_basis's rounds, kept unless they raise."""
+    key = tuple(public_gens)
+    if key in attacker.covers:
+        return attacker.covers[key]
+    reducer, leads, lines = Reducer((), NcPolynomial.monoid.default_order), set(), []
+    while True:
+        residual = [normal_form(g, reducer) for g in key]
+        target = next((r for r in residual if not r.is_zero()), None)
+        if target is None:
+            cover = attacker.covers[key] = reducer, lines
+            return cover
+        w = peel(attacker, candidate_terms(target))
+        if w is None:
+            raise ValueError("public set inconsistent with oracle: element outside the ideal")
+        if w in leads:
+            raise RuntimeError("peeled a generator that was already reduced away")
+        leads.add(w)
+        reducer.add(attacker.element(w))
+        supports = sum(len(r.items()) for r in residual)
+        lines.append(f"round {len(leads)}: peeled {word_to_text(w)}, "
+                     f"residual supports {supports}")

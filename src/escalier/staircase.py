@@ -6,9 +6,9 @@ walks the staircase outward from the first diagonal hit; in three or more
 it learns the staircase through its corners, the maximal box terms
 outside the generators found so far: an inside corner is lowered one
 coordinate at a time to a new generator, which splits every corner it
-divides, until every corner is confirmed outside. Pending corners wait in
-a heap, smallest first, and each lowering scan reads the answers already
-known, so no term is asked twice.
+divides, until every corner is confirmed outside. Every answer lives in
+the oracle's attacker session and outlives the call, so no term is asked
+twice, even by a later run, and pending corners wait in a heap.
 
 Every scan is a linear walk by default, a lowering one upward from 0; pass
 binary=True to bisect the same monotone scans (membership along a ray
@@ -25,6 +25,7 @@ from operator import le
 from typing import Callable, NamedTuple
 
 from .errors import ParseError, check_size, clip, decimal
+from .oracle import _Attacker
 from .polynomials import Polynomial, header, parse_polynomial, write_file
 from .terms import Term, minimal_terms, parse_term, term_to_text
 
@@ -83,7 +84,7 @@ def _drop_min_true(test: Callable[[int], bool], hi: int, binary: bool) -> int:
 # --- two variables -----------------------------------------------------------
 
 
-def _walk(member, a: int, b: int, bound: int, binary: bool) -> set[Term]:
+def _walk(ask, a: int, b: int, bound: int, binary: bool) -> set[Term]:
     """Generators up and to the left of the generator (a, b); the
     down-right side is this walk on swapped coordinates."""
     out: set[Term] = set()
@@ -91,31 +92,29 @@ def _walk(member, a: int, b: int, bound: int, binary: bool) -> set[Term]:
     # so the next generator leftward sits strictly above b
     while a >= 1:
         col = a - 1
-        y = _scan_min_true(lambda v: member(col, v), b + 1, bound, binary)
+        y = _scan_min_true(lambda v: ask((col, v)), b + 1, bound, binary)
         if y is None:
             break
         b = y
-        a = _drop_min_true(lambda v: member(v, b), col, binary)
+        a = _drop_min_true(lambda v: ask((v, b)), col, binary)
         out.add((a, b))
     return out
 
 
 def _two_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
-    def member(x: int, y: int) -> bool:
-        return oracle.member_T((x, y))
-
-    if member(0, 0):
+    ask = _Attacker(oracle).member_T
+    if ask((0, 0)):
         return {(0, 0)}
-    j = _scan_min_true(lambda v: member(v, v), 1, bound, binary)
+    j = _scan_min_true(lambda v: ask((v, v)), 1, bound, binary)
     if j is None:
         return set()
     # from the first diagonal hit (j, j), slide left along row j and down
     # column j to the corners of the sides the hit lies on
-    left_in, down_in = member(j - 1, j), member(j, j - 1)
-    a = _drop_min_true(lambda v: member(v, j), j - 1, binary) if left_in else j
-    b = _drop_min_true(lambda v: member(j, v), j - 1, binary) if down_in else j
-    up = _walk(member, a, j, bound, binary)
-    down = _walk(lambda x, y: member(y, x), b, j, bound, binary)
+    left_in, down_in = ask((j - 1, j)), ask((j, j - 1))
+    a = _drop_min_true(lambda v: ask((v, j)), j - 1, binary) if left_in else j
+    b = _drop_min_true(lambda v: ask((j, v)), j - 1, binary) if down_in else j
+    up = _walk(ask, a, j, bound, binary)
+    down = _walk(lambda t: ask(t[::-1]), b, j, bound, binary)
     return minimal_terms({(a, j), (j, b)}) | up | {(x, y) for y, x in down}
 
 
@@ -125,18 +124,16 @@ def _two_var_generators(oracle, bound: int, binary: bool) -> set[Term]:
 def _corner_generators(oracle, n: int, bound: int, binary: bool) -> set[Term]:
     """In-box generators by corner splitting (see the module docstring);
     the cost follows the generators and corners, not the box."""
-    member_T = oracle.member_T
+    member_T, known = oracle.member_T, _Attacker(oracle).answers
     gens: set[Term] = set()
     corners = {(bound,) * n}
     pending = [(bound,) * n]  # heap of corners to ask, smallest first; stale ones skipped
-    known: dict[Term, bool] = {}
     while pending:
         c = heappop(pending)
-        # stale: an asked corner is confirmed outside, or c was split away
-        if c in known or c not in corners:
-            continue
-        known[c] = inside = member_T(c)
-        if not inside:
+        # stale: split away, or known outside; known inside from an earlier run, lowered unasked
+        if c in corners and c not in known:
+            known[c] = member_T(c)
+        if c not in corners or not known[c]:
             continue
         # lower each coordinate in turn to its least inside value by one
         # monotone scan: bisection, or in linear mode upward from 0; the
@@ -180,20 +177,15 @@ def reconstruct(oracle, n: int, bound: int, binary: bool = False) -> StaircaseRe
     query."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    start = oracle.queries
+    start, attacker = oracle.queries, _Attacker(oracle)
     if n == 1:
-        e = _scan_min_true(lambda v: oracle.member_T((v,)), 0, bound, binary)
+        e = _scan_min_true(lambda v: attacker.member_T((v,)), 0, bound, binary)
         gens = set() if e is None else {(e,)}
     elif n == 2:
         gens = _two_var_generators(oracle, bound, binary)
     else:
         gens = _corner_generators(oracle, n, bound, binary)
-    ordered = sorted(gens, key=lambda t: (sum(t), t))
-    # t - Can(t) in one dict: Can(t) is normal, so it holds no term t
-    basis = tuple(
-        Polynomial._ring(n, oracle.p, {t: 1, **{s: -c for s, c in oracle.can_term(t).items()}})
-        for t in ordered
-    )
+    basis = tuple(map(attacker.element, sorted(gens, key=lambda t: (sum(t), t))))
     return StaircaseResult(
         generators=frozenset(gens), reduced_basis=basis, queries_used=oracle.queries - start,
         bound=bound, nvars=n, modulus=oracle.p,

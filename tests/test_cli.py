@@ -339,6 +339,76 @@ class TestForge:
         assert "outputs differ: True\n" in out
 
 
+class TestPinnedQueryLines:
+    """Whole stdout, query lines included, of the commands that print a
+    ledger, on fixed inputs. Every byte was recorded before the attacks
+    shared one session per oracle, except the forge demo's bound + 1 count,
+    which now charges its new queries only (12 before, 3 now)."""
+
+    THREE = "ring n=3 p=7 order=degrevlex\nX1^2 + X2*X3\nX2^2 - X1\nX3^3 + 1\n"
+    EX51_RESULT = (
+        "generators k=4 D=8 n=2 p=32003\nX1*X2^3\nX1^2*X2^2\nX1^4*X2\nX2^8\n"
+        "basis\nX1*X2^3\nX1^2*X2^2\nX1^4*X2\nX2^8\n"
+    )
+    KEY_RESULT = "basis\nX2^2 + 1\nX1^2 + X2\nqueries 9\nqueries 9\n"
+
+    @pytest.mark.parametrize("binary,queries", [(False, 23), (True, 25)])
+    def test_recon_monomial(self, ex51, capsys, binary, queries):
+        argv = ["recon", "--ideal", str(ex51), "--bound", "8", "--queries"]
+        assert run(argv + ["--binary-search"] * binary) == 0
+        assert capsys.readouterr().out == self.EX51_RESULT + f"queries {queries}\n" * 2
+
+    def test_recon_three_variables(self, tmp_path, capsys):
+        path = tmp_path / "three.ideal"
+        path.write_text(self.THREE)
+        assert run(["recon", "--ideal", str(path), "--bound", "4", "--queries"]) == 0
+        assert capsys.readouterr().out == (
+            "generators k=6 D=4 n=3 p=7\nX2*X3\nX2^2\nX3^3\nX1^2*X2\nX1^2*X3^2\nX1^4\n"
+            "basis\nX2*X3 + X1^2\nX2^2 + 6*X1\nX3^3 + 1\nX1^2*X2 + X1*X3\n"
+            "X1^2*X3^2 + 6*X2\nX1^4 + 6*X1*X3^2\nqueries 33\nqueries 33\n"
+        )
+
+    def test_decrypt_and_attack(self, tmp_path, capsys):
+        ring, priv, pub, cipher = (tmp_path / f for f in ("key.ideal", "priv", "pub", "c.txt"))
+        ring.write_text(KEYRING)
+        argv = ["keygen", "--ideal", str(ring), "--seed", "1"]
+        assert run(argv + ["--out-private", str(priv), "--out-public", str(pub)]) == 0
+        argv = ["encrypt", "--public", str(pub), "--message", "3 + 5*X1", "--seed", "2"]
+        assert run(argv + ["--out", str(cipher)]) == 0
+        capsys.readouterr()
+        assert run(["decrypt", "--private", str(priv), "--cipher", str(cipher), "--queries"]) == 0
+        assert capsys.readouterr().out == "5*X1 + 3\nqueries 11\n"
+        argv = ["attack", "--private", str(priv), "--public", str(pub), "--queries"]
+        for bound, flag in ((4, []), (2, ["--bound", "2"])):
+            assert run(argv + flag) == 0
+            head = f"generators k=2 D={bound} n=2 p=32003\nX2^2\nX1^2\n"
+            assert capsys.readouterr().out == head + self.KEY_RESULT
+
+    def test_nc_recon(self, tmp_path, capsys):
+        priv, pub = tmp_path / "nc.free", tmp_path / "pub.free"
+        priv.write_text(NC_PRIVATE)
+        pub.write_text(NC_PUBLIC)
+        assert run(["nc-recon", "--ideal", str(priv), "--public", str(pub), "--queries"]) == 0
+        assert capsys.readouterr().out == (
+            "free n=2 p=32003\nX1*X2\nX2*X1\n"
+            "# round 1: peeled X2*X1, residual supports 3\n"
+            "# round 2: peeled X1*X2, residual supports 1\nqueries 9\n"
+        )
+
+    def test_forge_demo(self, tmp_path, capsys):
+        path = tmp_path / "j.ideal"
+        path.write_text("ring n=2 p=7 order=deglex\nX1^2 + X2\n")
+        assert run(["forge", "--j", str(path), "--delta", "3", "--demo"]) == 0
+        assert capsys.readouterr().out == (
+            "agree degree 3\ncap element X1^4 + 6*X2^2\n"
+            "extended set is a Groebner basis: True\nclosed form matches: True\n"
+            "bound 3: generators X1^2*X2 (queries 9)\n"
+            "bound 4: generators X1^2*X2, X1^4 (queries 3)\n"
+            "small bound matches shifted ideal: True\nbig bound matches extended ideal: True\n"
+            "outputs differ: True\n"
+        )
+
+
 class TestNcCommands:
     def test_nc_recon(self, tmp_path, capsys):
         priv = tmp_path / "nc.free"
@@ -377,6 +447,22 @@ class TestNcCommands:
         )
         out = capsys.readouterr().out
         assert "trials 8" in out and "failures 0" in out
+
+    @pytest.mark.parametrize("n,code", [(999, 0), (1000, 2)], ids=["at-cap", "past-cap"])
+    def test_probe_noise_cap(self, tmp_path, capsys, n, code):
+        # one trial of the public member X1*X2*X1 multiplies (n + 1)^2 draw
+        # pairs: 10^6 at n = 999, the cap, and 1,002,001 at n = 1000
+        priv, pub = tmp_path / "nc.free", tmp_path / "pub.free"
+        priv.write_text(f"free n={n} p=32003\nX1*X2\n")
+        pub.write_text(f"free n={n} p=32003\nX1*X2*X1\n")
+        start = time.perf_counter()
+        argv = ["nc-probe", "--private", str(priv), "--public", str(pub), "--trials", "1"]
+        assert run(argv) == code
+        if code:
+            assert time.perf_counter() - start < 1
+            _one_error_line(capsys)
+        else:
+            assert capsys.readouterr().out == "trials 1 successes 1 failures 0 basis 1\n"
 
 
 class TestBench:

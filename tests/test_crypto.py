@@ -8,6 +8,7 @@ from escalier.crypto import (
     Ciphertext,
     KeyPair,
     attack_commutative,
+    check_probe_size,
     decrypt,
     encrypt,
     keygen,
@@ -341,6 +342,17 @@ class TestNcProbe:
         with pytest.raises(ParseError, match="the probe exceeds the limit of 10\\^6 trials"):
             nc_attack_probe(oracle, publics, 10**6 + 1, random.Random(11))
         assert oracle.queries == 0
+
+    def test_oversized_noise_refused_before_any_query_or_draw(self):
+        # (n + 1)^2 products per public term and trial: 5^2 * 2 * 20000 is
+        # 10^6, the most allowed, and one more trial is refused
+        oracle = CanOracle.noncommutative([ncpoly("X1*X2", n=4)])
+        publics = [ncpoly("X1*X2 + X2*X1*X2", n=4)]
+        check_probe_size(4, publics, 20000)
+        rng = random.Random(11)
+        with pytest.raises(ParseError, match="^the probe noise exceeds the limit of 10\\^6 products$"):
+            nc_attack_probe(oracle, publics, 20001, rng)
+        assert oracle.queries == 0 and rng.random() == random.Random(11).random()
 
     def test_negative_trials_refused_before_any_query(self):
         oracle = CanOracle.noncommutative([ncpoly("X1*X2 - 1")])

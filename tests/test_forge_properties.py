@@ -7,7 +7,8 @@ prepared oracle. These properties draw seeded random ideals in 2-3
 variables over several primes, under deglex and degrevlex, and compare
 each shortcut with the full computation: the smallest leading-ideal term
 among all terms of the cap degree, buchberger on the shifted set, the
-all-pairs is_groebner on the extended set, and two separately built
+all-pairs is_groebner on the extended set, and two reconstructions on one
+oracle, whose generators are checked against two separately built
 oracles.
 """
 
@@ -88,10 +89,16 @@ def test_extended_groebner_flag_is_the_all_pairs_test():
 
 @pytest.mark.parametrize("seed", range(0, 160, 8))
 def test_demo_equals_two_separate_oracles(seed):
+    # the demo's two reconstructions share one oracle, so the second is
+    # charged its new queries only; its generators are those of two
+    # separately built oracles
     pair = random_pair(seed)
     small, big = pair.agree_degree, pair.agree_degree + 1
-    res_small = reconstruct(CanOracle.commutative(pair.extended_basis), pair.n, small)
-    res_big = reconstruct(CanOracle.commutative(pair.extended_basis), pair.n, big)
+    oracle = CanOracle.commutative(pair.extended_basis)
+    res_small, res_big = reconstruct(oracle, pair.n, small), reconstruct(oracle, pair.n, big)
+    for res in (res_small, res_big):
+        fresh = reconstruct(CanOracle.commutative(pair.extended_basis), pair.n, res.bound)
+        assert res.generators == fresh.generators and res.reduced_basis == fresh.reduced_basis
     expected_small = frozenset(
         t for t in minimal_terms(pair.shifted_basis.leading_terms()) if max(t) <= small
     )
